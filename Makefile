@@ -1,4 +1,4 @@
-.PHONY: all build test fmt check clean bench bench-smoke bench-guard bench-real real-smoke chaos chaos-smoke replication replication-smoke availability fastpath fastpath-smoke obs-smoke
+.PHONY: all build test fmt check clean bench bench-smoke bench-guard bench-real real-smoke chaos chaos-smoke replication replication-smoke availability fastpath fastpath-smoke obs-smoke perfbench-smoke
 
 all: build
 
@@ -125,6 +125,14 @@ obs-smoke:
 	dune exec bin/alohadb_cli.exe -- doctor TIMELINE.jsonl \
 	  --report INCIDENTS.json
 	python3 ci/check_bench_regression.py --validate-timeline TIMELINE.jsonl
+
+# CI smoke for the repo's benchmark (BENCHMARK.json): every workload for
+# 5 s, untraced.  run.py exits non-zero when an output check fails: the
+# YCSB credit check, the district-counter check, or a repetition whose
+# simulated outcome differs from the first.  The wall-clock numbers it
+# prints are informational here; nothing compares them.
+perfbench-smoke:
+	python3 perfbench/run.py --workload all --seed 1 --seconds 5 --trace 0
 
 # Check dune-file formatting without promoting (ocamlformat is not a
 # dependency; OCaml sources are exempt via dune-project).

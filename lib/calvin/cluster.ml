@@ -28,7 +28,9 @@ type t = {
 let create ?registry options =
   if options.n_servers <= 0 then invalid_arg "Calvin.Cluster: n_servers";
   let registry =
-    match registry with Some r -> r | None -> Ctxn.with_builtins ()
+    match registry with
+    | Some r -> r
+    | None -> Functor_cc.Registry.with_builtins ()
   in
   let sim = Sim.Engine.create () in
   let rng = Sim.Rng.create options.seed in

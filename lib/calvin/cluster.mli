@@ -22,8 +22,9 @@ val default_options : options
 
 type t
 
-val create : ?registry:Ctxn.registry -> options -> t
-(** [registry] defaults to [Ctxn.with_builtins ()]. *)
+val create : ?registry:Functor_cc.Registry.t -> options -> t
+(** [registry] holds the handlers that [Call]/[Det] ops name; it defaults
+    to [Functor_cc.Registry.with_builtins ()]. *)
 
 val start : t -> unit
 (** Start every sequencer's epoch timer. *)

@@ -1,46 +1,24 @@
-module Value = Functor_cc.Value
-
 type t = {
-  proc : string;
   read_set : string list;
   write_set : string list;
-  args : Value.t list;
+  writes : (string * Kernel.Txn.op) list;
+  version : int;
 }
+
+let of_txn ~version txn =
+  let d = Kernel.Txn.static_form txn in
+  { read_set = Kernel.Txn.read_set d;
+    write_set = Kernel.Txn.write_keys d;
+    writes = d.Kernel.Txn.writes;
+    version }
 
 let participants ~partition_of txn =
   List.map partition_of (txn.read_set @ txn.write_set)
   |> List.sort_uniq Int.compare
 
-type proc =
-  txn:t ->
-  reads:(string * Value.t option) list ->
-  (string * Value.t) list
-
-type registry = (string, proc) Hashtbl.t
-
-let create_registry () = Hashtbl.create 16
-
-let register registry name proc =
-  if Hashtbl.mem registry name then
-    invalid_arg (Printf.sprintf "Ctxn.register: duplicate procedure %S" name);
-  Hashtbl.add registry name proc
-
-let find registry name = Hashtbl.find_opt registry name
-
-(* YCSB-style read-modify-write: every write-set key is incremented by the
-   first argument (keys absent from the store start at 0). *)
-let incr_all ~txn ~reads =
-  let delta =
-    match txn.args with v :: _ -> Value.to_int v | [] -> 1
-  in
-  List.map
-    (fun key ->
-      match List.assoc_opt key reads with
-      | Some (Some v) -> (key, Value.int (Value.to_int v + delta))
-      | Some None | None -> (key, Value.int delta))
-    txn.write_set
-
-let with_builtins () =
-  let r = create_registry () in
-  register r "incr_all" incr_all;
-  r
+let execute registry txn ~reads =
+  match
+    Kernel.Apply.writes ~registry ~version:txn.version ~reads txn.writes
+  with
+  | Some writes -> writes
+  | None -> []

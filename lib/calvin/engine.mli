@@ -1,12 +1,12 @@
 (** Calvin behind the {!Kernel.Intf.ENGINE} signature.
 
-    Transactions execute from their [static_form] facet: the write list
-    is encoded as a {!Functor_cc.Value.t} and shipped through one generic
-    stored procedure (["kernel_apply"]) that interprets it with
+    Transactions execute from their [static_form] facet, the only one
+    Calvin builds (facets are built on demand, so the ALOHA facet is
+    never forced here).  {!Ctxn.of_txn} hands the facet's write list to
+    the servers by reference, and every participant interprets it with
     {!Kernel.Apply} against a functor registry — replacing the
     hand-written per-workload Calvin procedures.  Workload handlers
-    registered through [register] land in that functor registry and are
-    evaluated inside the procedure. *)
+    registered through [register] land in that functor registry. *)
 
 include Kernel.Intf.ENGINE
 
@@ -17,11 +17,3 @@ val set_trace :
 (** Observe every send on the cluster's RPC plane (chaos tracing). *)
 
 val drop_stats : cluster -> Net.Network.drop_stats
-
-val apply_proc : Functor_cc.Registry.t -> Ctxn.proc
-(** The generic interpreter procedure, exposed for reuse by other
-    [Ctxn]-based engines (2PL). *)
-
-val lower : version:int -> Kernel.Txn.t -> Ctxn.t
-(** Lower a neutral transaction to a ["kernel_apply"] invocation whose
-    read/write sets come from the static facet. *)

@@ -24,14 +24,13 @@ type t = {
   n_servers : int;
   partition_of : string -> int;
   addr_of_partition : int -> Net.Address.t;
-  registry : Ctxn.registry;
+  registry : Functor_cc.Registry.t;
   config : Config.t;
   metrics : Sim.Metrics.t;
   obs : Obs.Ctl.t option;
   (* Hot-path metric handles, resolved once at creation. *)
   m_submitted : int ref;
   m_committed : int ref;
-  m_missing_proc : int ref;
   h_stage_seq : Sim.Stats.Histogram.t;
   h_stage_lockread : Sim.Stats.Histogram.t;
   h_stage_proc : Sim.Stats.Histogram.t;
@@ -110,15 +109,11 @@ let maybe_execute t (fl : inflight) =
       + (local_writes_estimate * t.config.Config.cost_write_us)
     in
     Sim.Worker_pool.submit t.exec_pool ~cost (fun () ->
-        (match Ctxn.find t.registry txn.Ctxn.proc with
-        | None -> incr t.m_missing_proc
-        | Some proc ->
-            let writes = proc ~txn ~reads:fl.gathered in
-            List.iter
-              (fun (key, v) ->
-                if t.partition_of key = t.node_id then
-                  Hashtbl.replace t.store key v)
-              writes);
+        List.iter
+          (fun (key, v) ->
+            if t.partition_of key = t.node_id then
+              Hashtbl.replace t.store key v)
+          (Ctxn.execute t.registry txn ~reads:fl.gathered);
         Sim.Stats.Histogram.add t.h_stage_proc
           (Sim.Engine.now t.sim - exec_start);
         emit t ~txn:fl.routed.Message.uid ~stage:Obs.Trace.Exec_done ();
@@ -322,7 +317,6 @@ let create ~sim ~rpc ~addr ~node_id ~n_servers ~partition_of
       addr_of_partition; registry; config; metrics; obs;
       m_submitted = c "calvin.submitted";
       m_committed = c "calvin.committed";
-      m_missing_proc = c "calvin.missing_proc";
       h_stage_seq = h "calvin.stage_seq_us";
       h_stage_lockread = h "calvin.stage_lockread_us";
       h_stage_proc = h "calvin.stage_proc_us";

@@ -12,7 +12,7 @@
       order, through a single-threaded lock manager;
     + once all local locks are granted, an {e executor} worker reads the
       local part of the read set, broadcasts it to the other participants,
-      waits for their reads, redundantly executes the stored procedure,
+      waits for their reads, redundantly executes the write list,
       applies the local writes, and releases the locks (again through the
       lock-manager thread).
 
@@ -29,7 +29,7 @@ val create :
   n_servers:int ->
   partition_of:(string -> int) ->
   addr_of_partition:(int -> Net.Address.t) ->
-  registry:Ctxn.registry ->
+  registry:Functor_cc.Registry.t ->
   config:Config.t ->
   metrics:Sim.Metrics.t ->
   ?obs:Obs.Ctl.t ->

@@ -357,9 +357,11 @@ and compute_key t ~key ~version =
   | Some chain ->
       let lo = Mvstore.Chain.watermark chain + 1 in
       let pending = ref [] in
+      (* Versions already computing need nothing more ([ensure_computing]
+         would return at once), so only the installed ones are listed. *)
       Mvstore.Chain.iter_range chain ~lo ~hi:version (fun ver record ->
           match record.Funct.state with
-          | Funct.Final _ -> ()
+          | Funct.Final _ | Funct.Pending { status = Funct.Computing; _ } -> ()
           | Funct.Pending p -> pending := (ver, record, p) :: !pending);
       List.iter
         (fun (ver, record, p) -> ensure_computing t ~chain ~key ~ver record p)

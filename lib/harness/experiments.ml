@@ -92,7 +92,7 @@ let table1 () =
     [ "registered user handlers in the bundled workloads:";
       "cadd, occ_validate, tpcc_neworder, tpcc_stock, tpcc_payment_cust,";
       "tpcc_orderline, stpcc_neworder, stpcc_stock, stpcc_orderline";
-      "(static engines run them through the generic kernel_apply proc)" ]
+      "(static engines interpret them with Kernel.Apply)" ]
 
 (* ---- workload points ---------------------------------------------------- *)
 

@@ -1,9 +1,9 @@
 (** Pure interpreter for a static {!Txn.desc} write list.
 
-    Engines that execute transactions as deterministic stored procedures
-    (Calvin-style locking, 2PL) ship the encoded write list as the
-    procedure argument and call {!writes} inside one generic procedure,
-    instead of hand-writing a procedure per workload transaction.
+    Engines that execute transactions deterministically (Calvin-style
+    locking, 2PL) carry the static facet's write list, by reference, with
+    the transaction and call {!writes} on it at execution time, instead of
+    hand-writing a stored procedure per workload transaction.
 
     Semantics match the ALOHA compute engine on the overlapping ops: all
     reads observe pre-transaction state (sibling writes are not visible,

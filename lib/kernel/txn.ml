@@ -25,7 +25,7 @@ type desc = {
 }
 
 type t = {
-  functor_form : desc;
+  functor_form : desc Lazy.t;
   static_form : desc Lazy.t;
 }
 
@@ -38,12 +38,12 @@ type reply =
 let desc ?(precondition_keys = []) writes = { writes; precondition_keys }
 
 let make ?precondition_keys writes =
-  let d = desc ?precondition_keys writes in
-  { functor_form = d; static_form = lazy d }
+  let d = Lazy.from_val (desc ?precondition_keys writes) in
+  { functor_form = d; static_form = d }
 
 let dual ~functor_form ~static_form = { functor_form; static_form }
 
-let functor_form t = t.functor_form
+let functor_form t = Lazy.force t.functor_form
 let static_form t = Lazy.force t.static_form
 
 let read_set d =
@@ -64,64 +64,3 @@ let write_keys d =
       | _ -> [ key ])
     d.writes
   |> List.sort_uniq String.compare
-
-(* ---- wire encoding ------------------------------------------------------ *)
-
-(* A [desc]'s write list as a database value, so that engines whose
-   stored procedures only take [Value.t] arguments (Calvin, 2PL) can ship
-   the whole transaction through one generic interpreter procedure. *)
-
-let strs l = Value.tup (List.map Value.str l)
-let to_strs v = List.map Value.to_str (Value.to_tup v)
-
-let encode_op = function
-  | Put v -> Value.tup [ Value.str "put"; v ]
-  | Delete -> Value.tup [ Value.str "delete" ]
-  | Add d -> Value.tup [ Value.str "add"; Value.int d ]
-  | Subtr d -> Value.tup [ Value.str "subtr"; Value.int d ]
-  | Max d -> Value.tup [ Value.str "max"; Value.int d ]
-  | Min d -> Value.tup [ Value.str "min"; Value.int d ]
-  | Call { handler; read_set; args } ->
-      Value.tup
-        [ Value.str "call"; Value.str handler; strs read_set;
-          Value.tup args ]
-  | Det { handler; read_set; args; dependents } ->
-      Value.tup
-        [ Value.str "det"; Value.str handler; strs read_set;
-          Value.tup args; strs dependents ]
-
-let decode_op v =
-  match Value.to_tup v with
-  | [ tag; v ] when Value.to_str tag = "put" -> Put v
-  | [ tag ] when Value.to_str tag = "delete" -> Delete
-  | [ tag; d ] when Value.to_str tag = "add" -> Add (Value.to_int d)
-  | [ tag; d ] when Value.to_str tag = "subtr" -> Subtr (Value.to_int d)
-  | [ tag; d ] when Value.to_str tag = "max" -> Max (Value.to_int d)
-  | [ tag; d ] when Value.to_str tag = "min" -> Min (Value.to_int d)
-  | [ tag; handler; read_set; args ] when Value.to_str tag = "call" ->
-      Call
-        { handler = Value.to_str handler;
-          read_set = to_strs read_set;
-          args = Value.to_tup args }
-  | [ tag; handler; read_set; args; dependents ]
-    when Value.to_str tag = "det" ->
-      Det
-        { handler = Value.to_str handler;
-          read_set = to_strs read_set;
-          args = Value.to_tup args;
-          dependents = to_strs dependents }
-  | _ -> invalid_arg "Kernel.Txn.decode_op: malformed op"
-
-let encode_writes writes =
-  Value.tup
-    (List.map
-       (fun (key, op) -> Value.tup [ Value.str key; encode_op op ])
-       writes)
-
-let decode_writes v =
-  List.map
-    (fun entry ->
-      match Value.to_tup entry with
-      | [ key; op ] -> (Value.to_str key, decode_op op)
-      | _ -> invalid_arg "Kernel.Txn.decode_writes: malformed entry")
-    (Value.to_tup v)

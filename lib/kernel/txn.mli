@@ -15,13 +15,15 @@
       [Det] op may decide {e at evaluation time} which dependents to
       write;
     - [static_form] — an equivalent description whose write set is fully
-      static (no [Det]), forced lazily only when a static engine runs the
-      transaction.  Generators that need engine-specific pre-assignment
-      (e.g. TPC-C order ids drawn from a per-district counter) do it
-      inside the lazy thunk.
+      static (no [Det]).  Generators that need engine-specific
+      pre-assignment (e.g. TPC-C order ids drawn from a per-district
+      counter) do it when this facet is built.
 
-    For the common case where the description is already static,
-    {!make} uses one description for both facets. *)
+    Both facets are built on demand: each is a lazy value forced at most
+    once, by the first engine that asks for it, so an engine never pays
+    for the facet it does not run.  For the common case where the
+    description is already static, {!make} uses one description for both
+    facets. *)
 
 module Value = Functor_cc.Value
 
@@ -68,9 +70,9 @@ val make : ?precondition_keys:string list -> (string * op) list -> t
 (** A transaction whose description is already static: both facets are
     the same description. *)
 
-val dual : functor_form:desc -> static_form:desc Lazy.t -> t
-(** A transaction with distinct facets.  The lazy static facet is forced
-    at most once, by the first static engine that submits it. *)
+val dual : functor_form:desc Lazy.t -> static_form:desc Lazy.t -> t
+(** A transaction with distinct facets, each forced at most once, by the
+    first engine that submits it. *)
 
 val functor_form : t -> desc
 val static_form : t -> desc
@@ -82,11 +84,3 @@ val read_set : desc -> string list
 val write_keys : desc -> string list
 (** Sorted, deduplicated keys the description may write, including [Det]
     dependents. *)
-
-val encode_writes : (string * op) list -> Value.t
-(** Encode a write list as a {!Value.t} so it can be shipped as the
-    argument of a single generic stored procedure. *)
-
-val decode_writes : Value.t -> (string * op) list
-(** Inverse of {!encode_writes}.  Raises [Invalid_argument] on malformed
-    input. *)

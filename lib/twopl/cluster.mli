@@ -19,7 +19,7 @@ val default_options : options
 
 type t
 
-val create : ?registry:Calvin.Ctxn.registry -> options -> t
+val create : ?registry:Functor_cc.Registry.t -> options -> t
 
 val set_trace : t -> (src:Net.Address.t -> dst:Net.Address.t -> unit) -> unit
 (** Observe every send (chaos trace hashing). *)

@@ -18,9 +18,7 @@ let options_of ?seed (params : Kernel.Params.t) =
 
 let create ?seed params =
   let funreg = Functor_cc.Registry.with_builtins () in
-  let creg = Calvin.Ctxn.with_builtins () in
-  Calvin.Ctxn.register creg "kernel_apply" (Calvin.Engine.apply_proc funreg);
-  { c = Cluster.create ~registry:creg (options_of ?seed params);
+  { c = Cluster.create ~registry:funreg (options_of ?seed params);
     funreg;
     seq = ref 0 }
 
@@ -39,7 +37,7 @@ let submit cl ~fe txn ~k =
   (* The 2PL coordinator's callback fires on commit and on give-up alike;
      give-ups are reported through the abort metric keys. *)
   Cluster.submit cl.c ~fe
-    (Calvin.Engine.lower ~version:!(cl.seq) txn)
+    (Calvin.Ctxn.of_txn ~version:!(cl.seq) txn)
     ~k:(fun () -> k Kernel.Txn.Ok)
 
 let read_committed cl key =

@@ -1,8 +1,9 @@
 (** 2PL/2PC behind the {!Kernel.Intf.ENGINE} signature.
 
-    Shares Calvin's transaction lowering: the static facet is shipped
-    through the generic ["kernel_apply"] stored procedure
-    ({!Calvin.Engine.apply_proc}).  Lock-wait give-ups surface through
+    Shares Calvin's transaction lowering: only the static facet is built
+    (facets are built on demand), and {!Calvin.Ctxn.of_txn} hands its
+    write list to the coordinator by reference, which interprets it with
+    {!Calvin.Ctxn.execute}.  Lock-wait give-ups surface through
     [abort_keys] (["twopl.given_up"]); restarts and lock timeouts through
     [counter_keys]. *)
 

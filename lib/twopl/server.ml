@@ -15,7 +15,7 @@ type t = {
   node_id : int;
   partition_of : string -> int;
   addr_of_partition : int -> Net.Address.t;
-  registry : Calvin.Ctxn.registry;
+  registry : Functor_cc.Registry.t;
   config : Config.t;
   metrics : Sim.Metrics.t;
   obs : Obs.Ctl.t option;
@@ -25,7 +25,6 @@ type t = {
   m_restarts : int ref;
   m_given_up : int ref;
   m_lock_timeouts : int ref;
-  m_missing_proc : int ref;
   h_lat_total : Sim.Stats.Histogram.t;
   rng : Sim.Rng.t;
   store : (string, Value.t) Hashtbl.t;
@@ -189,46 +188,41 @@ let rec attempt t txn ~tries ~submitted_at k =
         to_release
   in
   let proceed_commit () =
-    (* Execute the procedure, then two-phase commit. *)
+    (* Execute the write list, then two-phase commit. *)
     Sim.Worker_pool.submit t.pool ~cost:t.config.Config.cost_exec_us
       (fun () ->
-        match Calvin.Ctxn.find t.registry txn.Calvin.Ctxn.proc with
-        | None ->
-            incr t.m_missing_proc;
-            finish_abort ()
-        | Some proc ->
-            let writes = proc ~txn ~reads:!values in
-            let writes_for p =
-              List.filter (fun (key, _) -> t.partition_of key = p) writes
-            in
-            let prepared = ref (List.length parts) in
-            List.iter
-              (fun p ->
-                Net.Rpc.call t.rpc ~src:t.address ~dst:(t.addr_of_partition p)
-                  (Message.Prepare { uid; writes = writes_for p })
-                  (fun _ ->
-                    decr prepared;
-                    if !prepared = 0 then begin
-                      emit t ~txn:uid ~stage:Obs.Trace.Prepared ();
-                      (* Phase 2. *)
-                      let committed = ref (List.length parts) in
-                      List.iter
-                        (fun p ->
-                          Net.Rpc.call t.rpc ~src:t.address
-                            ~dst:(t.addr_of_partition p)
-                            (Message.Commit { uid })
-                            (fun _ ->
-                              decr committed;
-                              if !committed = 0 then begin
-                                incr t.m_committed;
-                                emit t ~txn:uid ~stage:Obs.Trace.Committed ();
-                                Sim.Stats.Histogram.add t.h_lat_total
-                                  (Sim.Engine.now t.sim - submitted_at);
-                                k ()
-                              end))
-                        parts
-                    end))
-              parts)
+        let writes = Calvin.Ctxn.execute t.registry txn ~reads:!values in
+        let writes_for p =
+          List.filter (fun (key, _) -> t.partition_of key = p) writes
+        in
+        let prepared = ref (List.length parts) in
+        List.iter
+          (fun p ->
+            Net.Rpc.call t.rpc ~src:t.address ~dst:(t.addr_of_partition p)
+              (Message.Prepare { uid; writes = writes_for p })
+              (fun _ ->
+                decr prepared;
+                if !prepared = 0 then begin
+                  emit t ~txn:uid ~stage:Obs.Trace.Prepared ();
+                  (* Phase 2. *)
+                  let committed = ref (List.length parts) in
+                  List.iter
+                    (fun p ->
+                      Net.Rpc.call t.rpc ~src:t.address
+                        ~dst:(t.addr_of_partition p)
+                        (Message.Commit { uid })
+                        (fun _ ->
+                          decr committed;
+                          if !committed = 0 then begin
+                            incr t.m_committed;
+                            emit t ~txn:uid ~stage:Obs.Trace.Committed ();
+                            Sim.Stats.Histogram.add t.h_lat_total
+                              (Sim.Engine.now t.sim - submitted_at);
+                            k ()
+                          end))
+                    parts
+                end))
+          parts)
   in
   List.iter
     (fun p ->
@@ -268,7 +262,6 @@ let create ~sim ~rpc ~addr ~node_id ~partition_of ~addr_of_partition
       m_restarts = c "twopl.restarts";
       m_given_up = c "twopl.given_up";
       m_lock_timeouts = c "twopl.lock_timeouts";
-      m_missing_proc = c "twopl.missing_proc";
       h_lat_total = Sim.Metrics.histogram metrics "twopl.lat_total_us";
       rng = Sim.Rng.create (seed + node_id);
       store = Hashtbl.create 65536;

@@ -19,7 +19,7 @@ val create :
   node_id:int ->
   partition_of:(string -> int) ->
   addr_of_partition:(int -> Net.Address.t) ->
-  registry:Calvin.Ctxn.registry ->
+  registry:Functor_cc.Registry.t ->
   config:Config.t ->
   metrics:Sim.Metrics.t ->
   ?obs:Obs.Ctl.t ->

@@ -19,13 +19,35 @@ let default_cfg ~n_servers ~districts_per_host =
     ol_max = 15;
     invalid_item_fraction = 0.01 }
 
-let dnoid_key d = Printf.sprintf "d:%d:noid" d
-let cust_key ~d c = Printf.sprintf "d:%d:cust:%d" d c
-let item_key i = Printf.sprintf "i:%d:item" i
-let stock_key i = Printf.sprintf "i:%d:stock" i
-let order_key ~d ~o = Printf.sprintf "d:%d:order:%d" d o
-let neworder_key ~d ~o = Printf.sprintf "d:%d:no:%d" d o
-let orderline_key ~d ~o ~n = Printf.sprintf "d:%d:ol:%d:%d" d o n
+(* Static names are built once each, on first use; per-order names
+   append the order (and line) number to a cached per-district prefix. *)
+
+let max_d = 1 lsl 14
+let max_c = 1 lsl 12
+let max_i = 1 lsl 17  (* a full catalog plus out-of-catalog ids *)
+
+let dnoid_names = Keyname.create ~cap:max_d (Printf.sprintf "d:%d:noid")
+
+let cust_names =
+  Keyname.create2 ~cap1:max_d ~cap2:max_c (Printf.sprintf "d:%d:cust:%d")
+
+let item_names = Keyname.create ~cap:max_i (Printf.sprintf "i:%d:item")
+let stock_names = Keyname.create ~cap:max_i (Printf.sprintf "i:%d:stock")
+let order_prefixes = Keyname.create ~cap:max_d (Printf.sprintf "d:%d:order:")
+let neworder_prefixes = Keyname.create ~cap:max_d (Printf.sprintf "d:%d:no:")
+let orderline_prefixes = Keyname.create ~cap:max_d (Printf.sprintf "d:%d:ol:")
+
+let dnoid_key d = Keyname.get dnoid_names d
+let cust_key ~d c = Keyname.get2 cust_names d c
+let item_key i = Keyname.get item_names i
+let stock_key i = Keyname.get stock_names i
+let order_key ~d ~o = Keyname.get order_prefixes d ^ string_of_int o
+let neworder_key ~d ~o = Keyname.get neworder_prefixes d ^ string_of_int o
+
+let orderline_key ~d ~o ~n =
+  String.concat ""
+    [ Keyname.get orderline_prefixes d; string_of_int o; ":";
+      string_of_int n ]
 
 type line = { item : int; qty : int }
 
@@ -219,7 +241,7 @@ let neworder_static_desc ~o (d, c, lines, _invalid) =
 let gen_neworder g =
   let a = draw g in
   Txn.dual
-    ~functor_form:(neworder_functor_desc a)
+    ~functor_form:(lazy (neworder_functor_desc a))
     ~static_form:
       (lazy
         (let rec valid ((_, _, _, invalid) as a) =

@@ -25,19 +25,55 @@ let default_cfg ~n_servers ~warehouses_per_host =
 
 (* ---- keys -------------------------------------------------------------- *)
 
-let wytd_key w = Printf.sprintf "w:%d:wytd" w
-let dtax_key ~w ~d = Printf.sprintf "w:%d:dtax:%d" w d
-let dytd_key ~w ~d = Printf.sprintf "w:%d:dytd:%d" w d
-let dnoid_key ~w ~d = Printf.sprintf "w:%d:dnoid:%d" w d
-let cust_key ~w ~d c = Printf.sprintf "w:%d:cust:%d:%d" w d c
-let item_key ~w i = Printf.sprintf "w:%d:item:%d" w i
-let stock_key ~w i = Printf.sprintf "w:%d:stock:%d" w i
-let order_key ~w ~d ~o = Printf.sprintf "w:%d:order:%d:%d" w d o
-let neworder_key ~w ~d ~o = Printf.sprintf "w:%d:no:%d:%d" w d o
+(* Static names (per warehouse, district, customer, item) are built once
+   each, on first use; per-order names append the order (and line)
+   number to a cached per-district prefix. *)
 
-let orderline_key ~w ~d ~o ~n = Printf.sprintf "w:%d:ol:%d:%d:%d" w d o n
+let max_w = 1 lsl 12
+let max_d = 1 lsl 8
+let max_c = 1 lsl 12
+let max_i = 1 lsl 17  (* the full TPC-C catalog plus out-of-catalog ids *)
 
-let hist_key ~w ~d ~c uid = Printf.sprintf "w:%d:hist:%d:%d:%d" w d c uid
+let per_wd fmt = Keyname.create2 ~cap1:max_w ~cap2:max_d (Printf.sprintf fmt)
+let per_wi fmt = Keyname.create2 ~cap1:max_w ~cap2:max_i (Printf.sprintf fmt)
+
+let wytd_names = Keyname.create ~cap:max_w (Printf.sprintf "w:%d:wytd")
+let dtax_names = per_wd "w:%d:dtax:%d"
+let dytd_names = per_wd "w:%d:dytd:%d"
+let dnoid_names = per_wd "w:%d:dnoid:%d"
+
+let cust_names =
+  Keyname.create2 ~cap1:max_w ~cap2:max_d (fun w d ->
+      Keyname.create ~cap:max_c (Printf.sprintf "w:%d:cust:%d:%d" w d))
+
+let item_names = per_wi "w:%d:item:%d"
+let stock_names = per_wi "w:%d:stock:%d"
+let order_prefixes = per_wd "w:%d:order:%d:"
+let neworder_prefixes = per_wd "w:%d:no:%d:"
+let orderline_prefixes = per_wd "w:%d:ol:%d:"
+let hist_prefixes = per_wd "w:%d:hist:%d:"
+
+let wytd_key w = Keyname.get wytd_names w
+let dtax_key ~w ~d = Keyname.get2 dtax_names w d
+let dytd_key ~w ~d = Keyname.get2 dytd_names w d
+let dnoid_key ~w ~d = Keyname.get2 dnoid_names w d
+let cust_key ~w ~d c = Keyname.get (Keyname.get2 cust_names w d) c
+let item_key ~w i = Keyname.get2 item_names w i
+let stock_key ~w i = Keyname.get2 stock_names w i
+let order_key ~w ~d ~o = Keyname.get2 order_prefixes w d ^ string_of_int o
+
+let neworder_key ~w ~d ~o =
+  Keyname.get2 neworder_prefixes w d ^ string_of_int o
+
+let orderline_key ~w ~d ~o ~n =
+  String.concat ""
+    [ Keyname.get2 orderline_prefixes w d; string_of_int o; ":";
+      string_of_int n ]
+
+let hist_key ~w ~d ~c uid =
+  String.concat ""
+    [ Keyname.get2 hist_prefixes w d; string_of_int c; ":";
+      string_of_int uid ]
 
 (* ---- row encodings ------------------------------------------------------ *)
 
@@ -339,7 +375,7 @@ let neworder_static_desc ~o { no_w = w; no_d = d; no_c = c; lines; _ } =
 let gen_neworder g ~fe =
   let a = draw_neworder g ~fe in
   Txn.dual
-    ~functor_form:(neworder_functor_desc a)
+    ~functor_form:(lazy (neworder_functor_desc a))
     ~static_form:
       (lazy
         ((* Static engines cannot abort, so their facet never references an

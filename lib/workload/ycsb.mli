@@ -15,8 +15,8 @@
     the partition field.
 
     Increments are commutative ADD ops, so one static description serves
-    every engine: ALOHA runs them as ADD functors, Calvin/2PL through the
-    generic "kernel_apply" procedure. *)
+    every engine: ALOHA runs them as ADD functors, Calvin/2PL interpret them
+    with {!Kernel.Apply}. *)
 
 type cfg = {
   keys_per_partition : int;

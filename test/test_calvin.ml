@@ -63,8 +63,8 @@ let mk_cluster ?(n = 2) () =
   c
 
 let incr_txn keys =
-  { Calvin.Ctxn.proc = "incr_all"; read_set = keys; write_set = keys;
-    args = [ Value.int 1 ] }
+  Calvin.Ctxn.of_txn ~version:0
+    (Kernel.Txn.make (List.map (fun k -> (k, Kernel.Txn.Add 1)) keys))
 
 let test_calvin_single_partition () =
   let c = mk_cluster () in

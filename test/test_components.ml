@@ -146,6 +146,75 @@ let test_write_keys_includes_dependents () =
     [ "dep1"; "dep2"; "det"; "x" ]
     (List.sort compare (Txn.write_keys req))
 
+(* ---- Kernel.Apply on a native write list ------------------------------ *)
+
+module KTxn = Kernel.Txn
+
+let apply_registry () =
+  let r = Functor_cc.Registry.create () in
+  (* Sum of the read set plus the first argument. *)
+  Functor_cc.Registry.register r "sum" (fun ctx ->
+      let total =
+        List.fold_left
+          (fun acc (_, v) ->
+            acc + match v with Some v -> Value.to_int v | None -> 0)
+          (Value.to_int (Functor_cc.Registry.arg ctx 0))
+          ctx.Functor_cc.Registry.reads
+      in
+      Functor_cc.Registry.Commit (Value.int total));
+  (* Own value is the handler version; writes the first dependent, skips
+     the second. *)
+  Functor_cc.Registry.register r "det" (fun ctx ->
+      Functor_cc.Registry.Commit_det
+        ( Value.int ctx.Functor_cc.Registry.version,
+          [ ("dep1", Functor_cc.Registry.Dep_put (Value.str "set"));
+            ("dep2", Functor_cc.Registry.Dep_skip) ] ));
+  Functor_cc.Registry.register r "no" (fun _ -> Functor_cc.Registry.Abort);
+  r
+
+let apply_reads =
+  [ ("a", Some (Value.int 5)); ("b", None); ("c", Some (Value.int 7)) ]
+
+let test_apply_writes () =
+  let registry = apply_registry () in
+  let ops =
+    [ ("p", KTxn.Put (Value.str "x"));
+      ("a", KTxn.Add 3);
+      ("b", KTxn.Add 4) (* absent: counts as 0 *);
+      ("s", KTxn.Call { handler = "sum"; read_set = [ "a"; "c" ];
+                        args = [ Value.int 100 ] });
+      ("d", KTxn.Det { handler = "det"; read_set = [ "a" ]; args = [];
+                       dependents = [ "dep1"; "dep2" ] }) ]
+  in
+  let show ws =
+    List.map (fun (k, v) -> k ^ "=" ^ Value.to_string v) ws
+  in
+  match
+    Kernel.Apply.writes ~registry ~version:42 ~reads:apply_reads ops
+  with
+  | None -> Alcotest.fail "unexpected abort"
+  | Some ws ->
+      Alcotest.(check (list string)) "writes in op order, Dep_skip dropped"
+        (show
+           [ ("p", Value.str "x"); ("a", Value.int 8); ("b", Value.int 4);
+             ("s", Value.int 112); ("d", Value.int 42);
+             ("dep1", Value.str "set") ])
+        (show ws)
+
+let test_apply_abort () =
+  let registry = apply_registry () in
+  let ops handler =
+    [ ("a", KTxn.Add 1);
+      ("x", KTxn.Call { handler; read_set = [ "a" ]; args = [] }) ]
+  in
+  let result h =
+    Kernel.Apply.writes ~registry ~version:1 ~reads:apply_reads (ops h)
+  in
+  Alcotest.(check bool) "aborting handler gives None" true
+    (result "no" = None);
+  Alcotest.(check bool) "unregistered handler gives None" true
+    (result "missing" = None)
+
 (* ---- value wire-size model -------------------------------------------- *)
 
 let test_value_size () =
@@ -163,4 +232,6 @@ let suite =
     Alcotest.test_case "recipients_for" `Quick test_recipients_for;
     Alcotest.test_case "write_keys dependents" `Quick
       test_write_keys_includes_dependents;
-    Alcotest.test_case "value size" `Quick test_value_size ]
+    Alcotest.test_case "value size" `Quick test_value_size;
+    Alcotest.test_case "apply native write list" `Quick test_apply_writes;
+    Alcotest.test_case "apply handler abort" `Quick test_apply_abort ]

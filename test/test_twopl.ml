@@ -7,8 +7,8 @@ let mk ?(n = 2) () =
   Cluster.create { Cluster.default_options with n_servers = n }
 
 let incr_txn keys =
-  { Calvin.Ctxn.proc = "incr_all"; read_set = keys; write_set = keys;
-    args = [ Value.int 1 ] }
+  Calvin.Ctxn.of_txn ~version:0
+    (Kernel.Txn.make (List.map (fun k -> (k, Kernel.Txn.Add 1)) keys))
 
 let key p i = Printf.sprintf "t:%d:%d" p i
 

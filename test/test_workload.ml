@@ -330,6 +330,114 @@ let test_tpcc_generator_distribution () =
     Alcotest.(check bool) "always distributed" true remote
   done
 
+(* ---- cached key names ---------------------------------------------------- *)
+
+(* Every cached name equals the Printf format it replaced, over the whole
+   configured range.  Out-of-catalog item ids (invalid lines draw
+   [items + 1 + r], r < 1000) are asked for first, so a cache grown for
+   them must still hand the catalog ids their own names; ids beyond the
+   caches' bounds and negative ids are built directly. *)
+let name_mismatches = ref []
+
+let check_names what pairs =
+  List.iter
+    (fun (got, want) ->
+      let got = got () in
+      if got <> want then
+        name_mismatches :=
+          Printf.sprintf "%s: %S <> %S" what got want :: !name_mismatches)
+    pairs
+
+let no_name_mismatches () =
+  let bad = !name_mismatches in
+  name_mismatches := [];
+  Alcotest.(check (list string)) "names equal the Printf format" [] bad
+
+let test_tpcc_key_names () =
+  let cfg = Tpcc.default_cfg ~n_servers:4 ~warehouses_per_host:10 in
+  let items =
+    List.init 1000 (fun r -> cfg.Tpcc.items + 1 + r)
+    @ List.init cfg.Tpcc.items Fun.id
+    @ [ -1; 1 lsl 20 ]
+  in
+  let ws = List.init cfg.Tpcc.warehouses Fun.id @ [ 1 lsl 13 ] in
+  for _pass = 1 to 2 do
+    List.iter
+      (fun w ->
+        check_names "wytd" [ ((fun () -> Tpcc.wytd_key w),
+                              Printf.sprintf "w:%d:wytd" w) ];
+        List.iter
+          (fun i ->
+            check_names "item/stock"
+              [ ((fun () -> Tpcc.item_key ~w i),
+                 Printf.sprintf "w:%d:item:%d" w i);
+                ((fun () -> Tpcc.stock_key ~w i),
+                 Printf.sprintf "w:%d:stock:%d" w i) ])
+          items;
+        for d = 0 to cfg.Tpcc.districts - 1 do
+          check_names "district"
+            [ ((fun () -> Tpcc.dtax_key ~w ~d), Printf.sprintf "w:%d:dtax:%d" w d);
+              ((fun () -> Tpcc.dytd_key ~w ~d), Printf.sprintf "w:%d:dytd:%d" w d);
+              ((fun () -> Tpcc.dnoid_key ~w ~d),
+               Printf.sprintf "w:%d:dnoid:%d" w d) ];
+          for c = 0 to cfg.Tpcc.customers - 1 do
+            check_names "customer"
+              [ ((fun () -> Tpcc.cust_key ~w ~d c),
+                 Printf.sprintf "w:%d:cust:%d:%d" w d c) ]
+          done;
+          List.iter
+            (fun o ->
+              check_names "order rows"
+                [ ((fun () -> Tpcc.order_key ~w ~d ~o),
+                   Printf.sprintf "w:%d:order:%d:%d" w d o);
+                  ((fun () -> Tpcc.neworder_key ~w ~d ~o),
+                   Printf.sprintf "w:%d:no:%d:%d" w d o) ];
+              for n = 0 to cfg.Tpcc.ol_max - 1 do
+                check_names "order line"
+                  [ ((fun () -> Tpcc.orderline_key ~w ~d ~o ~n),
+                     Printf.sprintf "w:%d:ol:%d:%d:%d" w d o n) ]
+              done)
+            [ 1; 9; 10; 12345 ]
+        done)
+      ws
+  done;
+  no_name_mismatches ()
+
+let test_stpcc_key_names () =
+  let cfg = Stpcc.default_cfg ~n_servers:4 ~districts_per_host:10 in
+  let items =
+    List.init 1000 (fun r -> cfg.Stpcc.items + 1 + r)
+    @ List.init cfg.Stpcc.items Fun.id
+    @ [ -1; 1 lsl 20 ]
+  in
+  for _pass = 1 to 2 do
+    List.iter
+      (fun i ->
+        check_names "item/stock"
+          [ ((fun () -> Stpcc.item_key i), Printf.sprintf "i:%d:item" i);
+            ((fun () -> Stpcc.stock_key i), Printf.sprintf "i:%d:stock" i) ])
+      items;
+    List.iter
+      (fun d ->
+        check_names "district"
+          [ ((fun () -> Stpcc.dnoid_key d), Printf.sprintf "d:%d:noid" d) ];
+        List.iter
+          (fun o ->
+            check_names "order rows"
+              [ ((fun () -> Stpcc.order_key ~d ~o),
+                 Printf.sprintf "d:%d:order:%d" d o);
+                ((fun () -> Stpcc.neworder_key ~d ~o),
+                 Printf.sprintf "d:%d:no:%d" d o) ];
+            for n = 0 to cfg.Stpcc.ol_max - 1 do
+              check_names "order line"
+                [ ((fun () -> Stpcc.orderline_key ~d ~o ~n),
+                   Printf.sprintf "d:%d:ol:%d:%d" d o n) ]
+            done)
+          [ 1; 77 ])
+      (List.init cfg.Stpcc.districts Fun.id @ [ 1 lsl 15 ])
+  done;
+  no_name_mismatches ()
+
 let suite =
   [ Alcotest.test_case "aloha tpcc neworder invariants" `Quick
       test_aloha_tpcc_neworder_invariants;
@@ -341,4 +449,6 @@ let suite =
     Alcotest.test_case "ycsb conservation" `Quick test_ycsb_aloha_conservation;
     Alcotest.test_case "ycsb generator shape" `Quick test_ycsb_generator_shape;
     Alcotest.test_case "tpcc generator distribution" `Quick
-      test_tpcc_generator_distribution ]
+      test_tpcc_generator_distribution;
+    Alcotest.test_case "tpcc key names" `Quick test_tpcc_key_names;
+    Alcotest.test_case "stpcc key names" `Quick test_stpcc_key_names ]
