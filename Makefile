@@ -1,4 +1,4 @@
-.PHONY: all build test fmt check clean bench bench-smoke bench-guard bench-real real-smoke chaos chaos-smoke replication replication-smoke availability fastpath fastpath-smoke obs-smoke perfbench-smoke
+.PHONY: all build test fmt check clean bench bench-smoke bench-guard chaos chaos-smoke replication replication-smoke availability fastpath fastpath-smoke obs-smoke perfbench-smoke
 
 all: build
 
@@ -28,25 +28,6 @@ bench-smoke:
 bench-guard:
 	dune exec bench/main.exe -- --json micro
 	python3 ci/check_bench_regression.py BENCH_micro.json bench/baseline_micro.json
-
-# Wall-clock domain-scaling sweep for --runtime real: writes
-# BENCH_real.json (cpu-add + latency-bound series at 1/2/4/8 domains,
-# host core count recorded).  Numbers are machine-dependent; the checker
-# validates structure, it never compares them across machines.
-bench-real:
-	dune exec bench/main.exe -- --json real
-	python3 ci/check_bench_regression.py --validate-real BENCH_real.json
-
-# CI smoke for the real runtime: pool + domain-determinism suites, the
-# interning hammer, the sim-vs-real equivalence oracle, a 4-domain
-# end-to-end CLI run, and the wall-clock sweep.
-real-smoke:
-	dune exec test/test_main.exe -- test runtime
-	dune exec test/test_main.exe -- test mvstore
-	dune exec test/test_main.exe -- test cross-engine
-	dune exec bin/alohadb_cli.exe -- run --system aloha --workload ycsb \
-	  --compute planned --runtime real --domains 4 --measure-ms 200
-	$(MAKE) bench-real
 
 # Randomized fault schedules against all three engines, 25 seeds each.
 # A failing (engine, seed) pair replays with:
@@ -115,7 +96,9 @@ fastpath-smoke:
 # INCIDENTS.json written for the artifact upload), and the independent
 # Python re-statement of the same invariants.  Seed 2 is chosen because
 # its crashes outlive the failure detector, so the file always contains
-# promote events for the doctor to reconstruct.
+# promote events for the doctor to reconstruct.  Last, the Python
+# validator must reject a line of a record type the ledger does not
+# write, as Obs.Analyze does (the timeline doctor-violations test).
 obs-smoke:
 	dune exec test/test_main.exe -- test obs
 	dune exec test/test_main.exe -- test timeline
@@ -125,6 +108,13 @@ obs-smoke:
 	dune exec bin/alohadb_cli.exe -- doctor TIMELINE.jsonl \
 	  --report INCIDENTS.json
 	python3 ci/check_bench_regression.py --validate-timeline TIMELINE.jsonl
+	printf '%s\n' \
+	  '{"type":"meta","cfg_epoch_us":10000,"nodes":1,"replicas":1}' \
+	  '{"type":"stratum","node":0,"t0_us":100,"t1_us":250,"size":4,"workers":[]}' \
+	  > TIMELINE_bad.jsonl
+	! python3 ci/check_bench_regression.py --validate-timeline \
+	  TIMELINE_bad.jsonl
+	rm -f TIMELINE_bad.jsonl
 
 # CI smoke for the repo's benchmark (BENCHMARK.json): every workload for
 # 5 s, untraced.  run.py exits non-zero when an output check fails: the

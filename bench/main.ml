@@ -9,10 +9,6 @@
      dune exec bench/main.exe -- micro       -- Bechamel micro suite
      dune exec bench/main.exe -- --json ...  -- also write BENCH_micro.json /
                                                 BENCH_macro.json in the cwd
-     dune exec bench/main.exe -- --json real -- wall-clock domain scaling;
-                                                writes BENCH_real.json only
-                                                (run it on its own, not mixed
-                                                with simulated targets)
      dune exec bench/main.exe -- availability -- committed-work-over-time
                                                 under a fixed crash schedule
                                                 at k = 1/2/3; always writes
@@ -226,131 +222,6 @@ let micro () =
         analysis)
     tests
 
-(* ---- real-runtime wall clock (BENCH_real.json) --------------------------- *)
-
-(* Wall-clock txn/s of the functor-computing phase on real OCaml 5 domains
-   (--runtime real): one closed epoch of commutative ADD-heavy YCSB-style
-   updates, planned and evaluated stratum-by-stratum on a Runtime.Pool,
-   timed from plan build to last finalisation, at 1/2/4/8 domains.
-
-   Two series, because speedup has two different limiting resources:
-
-   - "cpu-add": built-in ADDs, pure CPU.  Scales with physical cores; on
-     a 1-core host this honestly reports ~1x (the pool can interleave but
-     not parallelise compute-bound work).
-   - "latency-bound": a user functor that blocks ~200us per evaluation (a
-     stand-in for the storage/WAL read a production evaluator performs).
-     Blocked time overlaps across domains even on 1 core, so this series
-     shows the real >=2x stratum-level win everywhere — it is the shape
-     ALOHA's compute phase takes whenever evaluation touches storage.
-
-   The host core count is recorded in the JSON so readers can interpret
-   the cpu-add series; ci/check_bench_regression.py validates structure
-   only and never gates on these machine-dependent numbers. *)
-let real_epoch ~domains ~n_keys ~n_ops ~latency_bound =
-  let sim = Sim.Engine.create () in
-  let pool = Sim.Worker_pool.create sim ~workers:4 in
-  let registry = Functor_cc.Registry.with_builtins () in
-  Functor_cc.Registry.register registry "sladd" (fun ctx ->
-      (* simulated storage read on the evaluation path *)
-      Unix.sleepf 0.0002;
-      let cur =
-        match Functor_cc.Registry.read ctx ctx.Functor_cc.Registry.key with
-        | Some v -> Functor_cc.Value.to_int v
-        | None -> 0
-      in
-      Functor_cc.Registry.Commit
-        (Functor_cc.Value.int
-           (cur + Functor_cc.Value.to_int (Functor_cc.Registry.arg ctx 0))));
-  let metrics = Sim.Metrics.create () in
-  let callbacks =
-    { Functor_cc.Compute_engine.is_local = (fun _ -> true);
-      remote_get = (fun ~key:_ ~version:_ k -> k None);
-      send_push = (fun ~dst_key:_ ~version:_ ~src_key:_ _ -> ());
-      send_dep_write = (fun ~key:_ ~version:_ _ -> ());
-      notify_final = (fun ~key:_ ~version:_ ~pending:_ ~final:_ -> ());
-      exec = (fun ~cost k -> Sim.Worker_pool.submit pool ~cost k);
-      now = (fun () -> Sim.Engine.now sim) }
-  in
-  let e =
-    Functor_cc.Compute_engine.create ~registry ~callbacks ~compute_cost_us:1
-      ~metrics ()
-  in
-  let keys =
-    Array.init n_keys (fun i -> Mvstore.Key.intern (Printf.sprintf "rb%d" i))
-  in
-  Array.iter
-    (fun key ->
-      Functor_cc.Compute_engine.load_initial e ~key (Functor_cc.Value.int 0))
-    keys;
-  (* YCSB-style update stream: uniform key choice (YCSB-A shape), one ADD
-     per op, versions dense per key in draw order. *)
-  let rng = Sim.Rng.create 42 in
-  let next_version = Array.make n_keys 0 in
-  let items = ref [] in
-  for _ = 1 to n_ops do
-    let ki = Sim.Rng.int rng n_keys in
-    next_version.(ki) <- next_version.(ki) + 1;
-    let version = next_version.(ki) in
-    let key = keys.(ki) in
-    let funct =
-      if latency_bound then
-        Functor_cc.Funct.mk_pending
-          ~ftype:(Functor_cc.Ftype.User "sladd")
-          ~farg:
-            { Functor_cc.Funct.farg_empty with
-              read_set = [ key ];
-              args = [ Functor_cc.Value.int 1 ] }
-          ~txn_id:version ~coordinator:0
-      else
-        Functor_cc.Funct.mk_pending ~ftype:Functor_cc.Ftype.Add
-          ~farg:(Functor_cc.Funct.farg_args [ Functor_cc.Value.int 1 ])
-          ~txn_id:version ~coordinator:0
-    in
-    (match
-       Functor_cc.Compute_engine.install e ~key ~version ~lo:0 ~hi:max_int
-         funct
-     with
-    | Ok () -> ()
-    | Error _ -> failwith "bench real: install failed");
-    items := { Functor_cc.Processor.key; version } :: !items
-  done;
-  let rpool = Runtime.Pool.create ~domains in
-  let planner =
-    Functor_cc.Planner.create ~engine:e ~pool ~real:rpool ~dispatch_cost_us:1
-      ~metrics ()
-  in
-  let t0 = Unix.gettimeofday () in
-  ignore (Functor_cc.Planner.run planner ~items:!items);
-  Sim.Engine.run sim;
-  let wall_s = Unix.gettimeofday () -. t0 in
-  Runtime.Pool.shutdown rpool;
-  assert (Sim.Metrics.get metrics "plan.real_evaluated" = n_ops);
-  wall_s
-
-let real () =
-  let host_cores = Domain.recommended_domain_count () in
-  Printf.printf "[real] host cores: %d\n%!" host_cores;
-  let series ~name ~latency_bound ~n_keys ~n_ops =
-    let workload =
-      Printf.sprintf
-        "YCSB-A-style update-only, uniform over %d keys, %d %s/epoch" n_keys
-        n_ops
-        (if latency_bound then "sladd (200us blocking read)" else "ADD")
-    in
-    List.iter
-      (fun domains ->
-        let wall_s = real_epoch ~domains ~n_keys ~n_ops ~latency_bound in
-        Harness.Report.record_real ~series:name ~workload ~domains ~wall_s
-          ~txns:n_ops;
-        Printf.printf "[real] %-14s %d domain(s): %8.4f s  %10.0f txn/s\n%!"
-          name domains wall_s
-          (float_of_int n_ops /. wall_s))
-      [ 1; 2; 4; 8 ]
-  in
-  series ~name:"cpu-add" ~latency_bound:false ~n_keys:64 ~n_ops:16_384;
-  series ~name:"latency-bound" ~latency_bound:true ~n_keys:64 ~n_ops:1_024
-
 (* The latency-collapse figure: one counter-heavy workload (YCSB is 10
    blind ADD-1s per txn — every transaction is all-commutative with an
    empty read set) run twice on ALOHA, coordination-free commit lane off
@@ -371,7 +242,7 @@ let fastpath () =
         ~fastpath ~seed:7 ()
     in
     Harness.Driver.run built
-      ~arrival:(Harness.Arrivals.Closed { clients_per_fe = 4 })
+      ~arrival:(Kernel.Arrivals.Closed { clients_per_fe = 4 })
       ~warmup_us:100_000 ~measure_us:1_000_000 ()
   in
   let series =
@@ -473,7 +344,6 @@ let () =
     | "ablation-dependent" -> Harness.Experiments.ablation_dependent scale
     | "ext-conventional" -> Harness.Experiments.ext_conventional scale
     | "micro" -> micro ()
-    | "real" -> real ()
     | "availability" -> availability ()
     | "fastpath" -> fastpath ()
     | "all" ->
@@ -483,7 +353,7 @@ let () =
         Printf.eprintf
           "unknown target %S (expected table1, fig6..fig11, \
            ablation-straggler, ablation-push, ablation-dependent, \
-           ext-conventional, micro, real, availability, fastpath, all)\n"
+           ext-conventional, micro, availability, fastpath, all)\n"
           other;
         exit 2
   in
@@ -496,19 +366,9 @@ let () =
   (match cmds with
   | [] -> run "all"
   | cmds -> List.iter run cmds);
-  if Harness.Report.recording () then
-    if Harness.Report.real_recorded () then begin
-      (* the real target stands alone: wall-clock numbers go to their own
-         file so the simulated micro/macro baselines are never clobbered
-         by a machine-dependent run *)
-      Harness.Report.write_real
-        ~host_cores:(Domain.recommended_domain_count ())
-        "BENCH_real.json";
-      Printf.printf "wrote BENCH_real.json\n%!"
-    end
-    else begin
-      Harness.Report.write_micro "BENCH_micro.json";
-      Harness.Report.write_macro ~scale:scale.Harness.Experiments.label
-        "BENCH_macro.json";
-      Printf.printf "wrote BENCH_micro.json and BENCH_macro.json\n%!"
-    end
+  if Harness.Report.recording () then begin
+    Harness.Report.write_micro "BENCH_micro.json";
+    Harness.Report.write_macro ~scale:scale.Harness.Experiments.label
+      "BENCH_macro.json";
+    Printf.printf "wrote BENCH_micro.json and BENCH_macro.json\n%!"
+  end

@@ -73,21 +73,6 @@ let run_cmd =
              ~doc:"Compute-phase mode (ALOHA only): ondemand, pool, or \
                    planned.  Omitted = engine default.")
   in
-  let runtime =
-    let modes = Arg.enum [ ("sim", "sim"); ("real", "real") ] in
-    Arg.(value & opt (some modes) None
-         & info [ "runtime" ]
-             ~doc:"Execution backend (ALOHA only): sim (default; \
-                   single-domain simulation) or real (evaluate planned \
-                   functor strata on OCaml 5 worker domains; pair with \
-                   --compute planned).")
-  in
-  let domains =
-    Arg.(value & opt (some int) None
-         & info [ "domains" ]
-             ~doc:"Worker domains for --runtime real (default: engine \
-                   default).")
-  in
   let replicas =
     Arg.(value & opt (some int) None
          & info [ "replicas"; "k" ]
@@ -106,42 +91,39 @@ let run_cmd =
                    close + compute.  Omitted = off.")
   in
   let run (sys_name, engine) workload n per_host ci clients rate epoch_ms
-      warmup_ms measure_ms seed compute runtime domains replicas fastpath =
+      warmup_ms measure_ms seed compute replicas fastpath =
     let epoch_us = epoch_ms * 1000 in
     let warmup_us = warmup_ms * 1000 in
     let measure_us = measure_ms * 1000 in
     let arrival =
-      if rate > 0.0 then Harness.Arrivals.Open_poisson { rate_per_fe = rate }
+      if rate > 0.0 then Kernel.Arrivals.Open_poisson { rate_per_fe = rate }
       else
         (* ALOHA sustains far more closed-loop clients than the lock-based
            engines. *)
         let default = if sys_name = "aloha" then 2_000 else 500 in
-        Harness.Arrivals.Closed
+        Kernel.Arrivals.Closed
           { clients_per_fe = (if clients > 0 then clients else default) }
     in
     let built =
       match workload with
       | `Tpcc ->
           Harness.Setup.tpcc ~engine ~n ~warehouses_per_host:per_host
-            ~kind:`NewOrder ~epoch_us ?compute ?runtime ?domains ?replicas
-            ?fastpath ~seed ()
+            ~kind:`NewOrder ~epoch_us ?compute ?replicas ?fastpath ~seed ()
       | `Tpcc_payment ->
           Harness.Setup.tpcc ~engine ~n ~warehouses_per_host:per_host
-            ~kind:`Payment ~epoch_us ?compute ?runtime ?domains ?replicas
-            ?fastpath ~seed ()
+            ~kind:`Payment ~epoch_us ?compute ?replicas ?fastpath ~seed ()
       | `Stpcc ->
           Harness.Setup.stpcc ~engine ~n ~districts_per_host:per_host
-            ~epoch_us ?compute ?runtime ?domains ?replicas ?fastpath ~seed ()
+            ~epoch_us ?compute ?replicas ?fastpath ~seed ()
       | `Ycsb ->
-          Harness.Setup.ycsb ~engine ~n ~ci ~epoch_us ?compute ?runtime
-            ?domains ?replicas ?fastpath ~seed ()
+          Harness.Setup.ycsb ~engine ~n ~ci ~epoch_us ?compute ?replicas
+            ?fastpath ~seed ()
     in
     let wall_t0 = Unix.gettimeofday () in
     let result =
       Harness.Driver.run built ~arrival ~warmup_us ~measure_us ()
     in
     let wall_s = Unix.gettimeofday () -. wall_t0 in
-    (* Quiesce: joins the real runtime's worker domains (no-op on sim). *)
     (let (Harness.Setup.Built ((module E), c, _)) = built in
      E.stop c);
     (match compute with
@@ -153,16 +135,8 @@ let run_cmd =
     (match fastpath with
     | Some true -> Format.printf "fastpath: on@."
     | _ -> ());
-    (match runtime with
-    | Some mode ->
-        Format.printf "runtime: %s%s@." mode
-          (match domains with
-          | Some d when mode = "real" -> Printf.sprintf " (%d domains)" d
-          | _ -> "")
-    | None -> ());
     Format.printf "%a@." Harness.Driver.pp_result result;
-    (* Wall-clock throughput: the first-class series under --runtime real
-       (simulated tps is unchanged by construction there). *)
+    (* Host wall-clock throughput, next to the simulated result above. *)
     Format.printf "wall clock: %.3f s (%.0f committed txn/s wall)@." wall_s
       (float_of_int result.Harness.Driver.committed /. wall_s);
     List.iter
@@ -177,7 +151,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(const run $ system $ workload $ servers $ per_host $ ci $ clients
           $ rate $ epoch_ms $ warmup_ms $ measure_ms $ seed $ compute
-          $ runtime $ domains $ replicas $ fastpath)
+          $ replicas $ fastpath)
 
 let figure_cmd =
   let target =
@@ -353,7 +327,7 @@ let traced_run ~sys_name ~engine ~n ~ci ~sample ~epoch_us ~warmup_us
   let ctl = Obs.Ctl.create ~sample () in
   let arrival =
     let clients = if sys_name = "aloha" then 400 else 100 in
-    Harness.Arrivals.Closed { clients_per_fe = clients }
+    Kernel.Arrivals.Closed { clients_per_fe = clients }
   in
   match sys_name with
   | "aloha" ->
@@ -454,7 +428,6 @@ let trace_cmd =
         ~warmup_us:(warmup_ms * 1000) ~measure_us:(measure_ms * 1000) ~seed
     in
     Obs.Export.write_chrome_trace ~path:out ~engine:sys_name
-      ?ledger:(Obs.Ctl.ledger ctl)
       ~trace:(Obs.Ctl.trace ctl)
       ~gauges:(Some (Obs.Ctl.gauges ctl))
       ();

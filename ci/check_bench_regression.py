@@ -14,14 +14,9 @@ reported but do not fail the check until they are added to the baseline.
 More than one CURRENT_JSON may be given (e.g. a glob over the bench
 output directory): files whose "suite" field is not "micro" — telemetry
 summaries, Chrome traces, macro results — are skipped with a note, so
-new kinds of run artifacts never break the gate.  A "real"-suite file
-(BENCH_real.json, wall-clock domain scaling) is also skipped, but only
-after its structure validates — a malformed real file fails the run.
-
-    python3 ci/check_bench_regression.py --validate-real BENCH_real.json
-
-validates a real-suite file on its own (the bench-real / real-smoke CI
-lanes use this).
+new kinds of run artifacts never break the gate.  Availability and
+fastpath files are also skipped, but only after their structure
+validates — a malformed one fails the run.
 
     python3 ci/check_bench_regression.py --validate-availability \
         BENCH_availability.json
@@ -31,8 +26,8 @@ under a crash schedule at several replication degrees): schema, a
 series per degree with strictly increasing sample times and a monotone
 non-decreasing committed counter, completed <= submitted, and — the
 point of the figure — every replicated (k > 1) series must reach full
-completion, while the k = 1 baseline may plateau.  Like the real suite
-there is no numeric gate beyond that: the curves are the artifact.
+completion, while the k = 1 baseline may plateau.  There is no numeric
+gate beyond that: the curves are the artifact.
 
     python3 ci/check_bench_regression.py --validate-fastpath \
         BENCH_fastpath.json
@@ -42,8 +37,8 @@ counter-heavy workload with the coordination-free commit lane off and
 on): schema, exactly one "off" and one "on" series, sane percentiles
 (0 < p50 <= p99), fast-lane commits only in the on series — and the
 headline gate, the on-series p50 must be strictly below the off-series
-p50.  Both runs are simulated time, so unlike the real suite this IS a
-deterministic numeric gate.
+p50.  Both runs are simulated time, so this is a deterministic numeric
+gate.
 
     python3 ci/check_bench_regression.py --validate-timeline \
         TIMELINE.jsonl
@@ -52,23 +47,13 @@ validates an epoch-ledger timeline (the append-only JSONL the
 `alohadb_cli timeline` subcommand emits; one meta-delimited segment per
 run).  It is a language-independent re-statement of the OCaml doctor
 (`alohadb_cli doctor` / Obs.Analyze.check): per-line schema by "type"
-(meta / epoch / event / stratum), contiguous closed epochs per node,
-monotone watermarks (a crash of that node between two closes excuses a
-reset), every crash in a replicated segment followed by a restart or a
+(meta / epoch / event; any other type is rejected), contiguous closed
+epochs per node, monotone watermarks (a crash of that node between two
+closes excuses a reset), every crash in a replicated segment followed by a restart or a
 promotion, and every promotion with traffic still arriving afterwards
 resolving with a first post-failover commit.  The CI obs-smoke lane
 runs both checkers over the same file so a bug in one is caught by the
 other.
-
-Why the real suite has no numeric gate: BENCH_real.json holds host
-wall-clock times, and those depend on the machine — physical core count
-(a 1-core host cannot speed up the cpu-add series at all), CPU
-frequency scaling, and co-tenant load all move the numbers by far more
-than any honest regression threshold.  Simulated suites are
-deterministic, so micro gets a 30% ns/op gate; real gets a
-well-formedness gate (schema, positive times, the 1-domain baseline
-each speedup is derived from) and the numbers themselves are for humans
-reading the artifact next to its recorded host_cores.
 
 Only the Python standard library is used.
 """
@@ -76,50 +61,6 @@ Only the Python standard library is used.
 import json
 import os
 import sys
-
-
-def validate_real(path, doc):
-    """Exit with an error if a real-suite document is malformed."""
-    def fail(msg):
-        sys.exit(f"error: {path}: malformed real-suite document: {msg}")
-
-    if not isinstance(doc.get("host_cores"), int) or doc["host_cores"] < 1:
-        fail("host_cores must be a positive integer")
-    series = doc.get("series")
-    if not isinstance(series, list) or not series:
-        fail("series must be a non-empty list")
-    for s in series:
-        if not isinstance(s, dict):
-            fail("series entries must be objects")
-        name = s.get("name")
-        if not isinstance(name, str) or not name:
-            fail("series name must be a non-empty string")
-        if not isinstance(s.get("workload"), str):
-            fail(f"series {name!r}: workload must be a string")
-        points = s.get("points")
-        if not isinstance(points, list) or not points:
-            fail(f"series {name!r}: points must be a non-empty list")
-        domains_seen = set()
-        for p in points:
-            if not isinstance(p, dict):
-                fail(f"series {name!r}: points must be objects")
-            d = p.get("domains")
-            if not isinstance(d, int) or d < 1:
-                fail(f"series {name!r}: domains must be a positive integer")
-            if d in domains_seen:
-                fail(f"series {name!r}: duplicate point for {d} domains")
-            domains_seen.add(d)
-            for field in ("wall_s", "txn_s"):
-                v = p.get(field)
-                if not isinstance(v, (int, float)) or v <= 0:
-                    fail(f"series {name!r} @ {d} domains: "
-                         f"{field} must be positive")
-            txns = p.get("txns")
-            if not isinstance(txns, int) or txns <= 0:
-                fail(f"series {name!r} @ {d} domains: "
-                     f"txns must be a positive integer")
-        if 1 not in domains_seen:
-            fail(f"series {name!r}: missing the 1-domain baseline point")
 
 
 def validate_availability(path, doc):
@@ -227,8 +168,8 @@ def validate_fastpath(path, doc):
 def parse_timeline(path):
     """Split a TIMELINE.jsonl into meta-delimited segments.
 
-    Returns a list of {"meta": dict, "rows": [...], "events": [...],
-    "strata": [...]}; exits on unreadable or schema-violating lines."""
+    Returns a list of {"meta": dict, "rows": [...], "events": [...]};
+    exits on unreadable or schema-violating lines."""
     def fail(lineno, msg):
         sys.exit(f"error: {path}:{lineno}: {msg}")
 
@@ -258,7 +199,7 @@ def parse_timeline(path):
         if typ == "meta":
             for field in ("cfg_epoch_us", "nodes", "replicas"):
                 need(lineno, rec, field, int, "meta")
-            seg = {"meta": rec, "rows": [], "events": [], "strata": []}
+            seg = {"meta": rec, "rows": [], "events": []}
             segments.append(seg)
         elif typ == "epoch":
             if seg is None:
@@ -292,20 +233,6 @@ def parse_timeline(path):
             need(lineno, rec, "node", int, "event")
             need(lineno, rec, "partition", int, "event")
             seg["events"].append(rec)
-        elif typ == "stratum":
-            if seg is None:
-                fail(lineno, "stratum line before any meta line")
-            for field in ("node", "t0_us", "t1_us", "size"):
-                need(lineno, rec, field, int, "stratum")
-            workers = rec.get("workers")
-            if not isinstance(workers, list):
-                fail(lineno, "stratum line: workers must be a list")
-            for w in workers:
-                if not isinstance(w, dict):
-                    fail(lineno, "stratum line: workers must be objects")
-                for field in ("worker", "completed", "stolen", "queue"):
-                    need(lineno, w, field, int, "stratum worker")
-            seg["strata"].append(rec)
         else:
             fail(lineno, f"unknown line type {typ!r}")
     if not segments:
@@ -404,8 +331,7 @@ def report_timeline(path, segments):
         print(f"  segment {idx}: nodes={meta['nodes']} "
               f"k={meta['replicas']} epoch={meta['cfg_epoch_us']}us  "
               f"{len(seg['rows'])} epoch rows, {len(seg['events'])} events, "
-              f"{len(seg['strata'])} strata, {len(incidents)} incident(s) "
-              f"({resolved} resolved)")
+              f"{len(incidents)} incident(s) ({resolved} resolved)")
 
 
 def report_fastpath(path, doc):
@@ -429,20 +355,6 @@ def report_availability(path, doc):
               f"committed, {len(pts)} samples, {when}")
 
 
-def report_real(path, doc):
-    print(f"{path}: real suite ok (host_cores={doc['host_cores']})")
-    for s in doc["series"]:
-        pts = sorted(s["points"], key=lambda p: p["domains"])
-        scaling = ", ".join(
-            f"{p['domains']}d={p['txn_s']:.0f}/s"
-            f" ({p['speedup_vs_1']:.2f}x)"
-            if isinstance(p.get("speedup_vs_1"), (int, float))
-            else f"{p['domains']}d={p['txn_s']:.0f}/s"
-            for p in pts
-        )
-        print(f"  {s['name']:16} {scaling}")
-
-
 def load(path):
     """Parse a micro-suite document; return None for other JSON files."""
     try:
@@ -450,10 +362,6 @@ def load(path):
             doc = json.load(f)
     except (OSError, ValueError) as exc:
         sys.exit(f"error: cannot read {path}: {exc}")
-    if isinstance(doc, dict) and doc.get("suite") == "real":
-        # skip, but never silently ship a broken artifact
-        validate_real(path, doc)
-        return None
     if isinstance(doc, dict) and doc.get("suite") == "availability":
         validate_availability(path, doc)
         return None
@@ -469,20 +377,6 @@ def load(path):
 
 
 def main(argv):
-    if len(argv) >= 2 and argv[1] == "--validate-real":
-        if len(argv) != 3:
-            sys.exit(f"usage: {argv[0]} --validate-real BENCH_real.json")
-        path = argv[2]
-        try:
-            with open(path) as f:
-                doc = json.load(f)
-        except (OSError, ValueError) as exc:
-            sys.exit(f"error: cannot read {path}: {exc}")
-        if not isinstance(doc, dict) or doc.get("suite") != "real":
-            sys.exit(f"error: {path} is not a real-suite document")
-        validate_real(path, doc)
-        report_real(path, doc)
-        return 0
     if len(argv) >= 2 and argv[1] == "--validate-availability":
         if len(argv) != 3:
             sys.exit(f"usage: {argv[0]} --validate-availability "

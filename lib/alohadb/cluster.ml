@@ -30,11 +30,6 @@ type t = {
   partition_of : Mvstore.Key.t -> int;
   data : Message.rpc;
   control : Epoch.Protocol.rpc;
-  real_pool : Runtime.Pool.t option;
-      (* one shared worker-domain pool across the cluster's BEs: the
-         simulation is single-threaded, so at most one server evaluates
-         strata at any moment and per-server pools would just multiply
-         idle domains *)
   replicas : int;  (* effective k = min(config.replicas, n) *)
   route : Net.Route.t option;  (* Some iff replicas > 1 *)
   repl_plane : Message.rpc option;  (* WAL-shipping plane, iff replicas > 1 *)
@@ -210,18 +205,12 @@ let create ?registry options =
     in
     Clocksync.Node_clock.create sim ~offset_us ()
   in
-  let real_pool =
-    match config.Config.runtime_mode with
-    | Config.Sim -> None
-    | Config.Real ->
-        Some (Runtime.Pool.create ~domains:(max 1 config.Config.domains))
-  in
   let servers =
     Array.init n (fun i ->
         Server.create ~sim ~data ~control ~addr:(Net.Address.of_int i)
           ~node_id:i ~em:em_addr ~clock:(server_clock ()) ~partition_of
           ~addr_of_partition ~my_partition:i ~registry
-          ~config ~metrics ?obs:options.obs ?real_pool ())
+          ~config ~metrics ?obs:options.obs ())
   in
   let em =
     Epoch.Manager.create ~rpc:control ~addr:em_addr
@@ -266,7 +255,7 @@ let create ?registry options =
   in
   let t =
     { sim; servers; em; metrics; registry; partition_of; data; control;
-      real_pool; replicas = k; route; repl_plane }
+      replicas = k; route; repl_plane }
   in
   (match options.obs with
   | None -> ()
@@ -328,28 +317,10 @@ let create ?registry options =
             (float_of_int
                (d.Net.Network.injected + d.partitioned + d.crashed
               + d.unregistered + c.Net.Network.injected + c.partitioned
-              + c.crashed + c.unregistered));
-          match real_pool with
-          | None -> ()
-          | Some p ->
-              (* Strata evaluate synchronously inside the epoch-close
-                 event, so an instantaneous sample would always read the
-                 pool at rest; the high-water marks are what show
-                 real-runtime occupancy next to the pipeline stages. *)
-              Sim.Metrics.set_gauge metrics "runtime.pool.queue_depth"
-                (float_of_int (Runtime.Pool.queue_peak p));
-              Sim.Metrics.set_gauge metrics "runtime.pool.busy_workers"
-                (float_of_int (Runtime.Pool.busy_peak p))));
+              + c.crashed + c.unregistered))));
   t
 
 let start t = Epoch.Manager.start t.em
-
-let shutdown t =
-  match t.real_pool with
-  | None -> ()
-  | Some p -> Runtime.Pool.shutdown p
-
-let real_pool t = t.real_pool
 
 let set_trace t f =
   Net.Rpc.set_trace t.data f;

@@ -42,14 +42,6 @@ val create :
 val start : t -> unit
 (** Start the epoch manager (grants the first epoch). *)
 
-val shutdown : t -> unit
-(** Join the real runtime's worker-domain pool (no-op under the sim
-    runtime, and on repeated calls).  The simulated state stays
-    readable; only parallel stratum evaluation becomes unavailable. *)
-
-val real_pool : t -> Runtime.Pool.t option
-(** The shared worker-domain pool, when [config.runtime_mode = Real]. *)
-
 val set_trace : t -> (src:Net.Address.t -> dst:Net.Address.t -> unit) -> unit
 (** Observe every send on both planes (chaos trace hashing). *)
 

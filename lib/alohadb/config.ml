@@ -11,26 +11,9 @@ let compute_mode_to_string = function
   | Pool -> "pool"
   | Planned -> "planned"
 
-(* Execution backend: Sim keeps every event on the simulation domain;
-   Real additionally evaluates planned functor strata on a shared pool
-   of OCaml 5 worker domains (only the Planned compute mode has the
-   dependency strata that make parallelism safe — under Ondemand/Pool
-   the Real runtime degenerates to Sim). *)
-type runtime_mode = Sim | Real
-
-let runtime_mode_of_string = function
-  | "sim" -> Some Sim
-  | "real" -> Some Real
-  | _ -> None
-
-let runtime_mode_to_string = function Sim -> "sim" | Real -> "real"
-
 type t = {
   cores : int;
   compute_mode : compute_mode;
-  runtime_mode : runtime_mode;
-  domains : int;
-      (* worker domains in the real runtime's shared pool (>= 1) *)
   straggler_opt : bool;
   push_opt : bool;
   durability : bool;
@@ -54,8 +37,6 @@ type t = {
 let default =
   { cores = 8;
     compute_mode = Pool;
-    runtime_mode = Sim;
-    domains = 4;
     straggler_opt = true;
     push_opt = true;
     durability = false;

@@ -23,27 +23,10 @@ type compute_mode =
 val compute_mode_of_string : string -> compute_mode option
 val compute_mode_to_string : compute_mode -> string
 
-type runtime_mode =
-  | Sim
-      (** everything on the simulation domain (the default): compute
-          costs are charged in simulated time only *)
-  | Real
-      (** additionally evaluate planned functor strata on a shared pool
-          of OCaml 5 worker domains, for wall-clock throughput.  Only
-          the [Planned] compute mode has the dependency strata that make
-          parallelism safe; under [Ondemand]/[Pool] this degenerates to
-          [Sim] *)
-
-val runtime_mode_of_string : string -> runtime_mode option
-val runtime_mode_to_string : runtime_mode -> string
-
 type t = {
   cores : int;  (** worker pool width (the paper's 8-core VMs) *)
   compute_mode : compute_mode;
       (** how the BE evaluates an epoch's functors after epoch close *)
-  runtime_mode : runtime_mode;  (** execution backend (sim | real) *)
-  domains : int;
-      (** worker domains in the real runtime's shared pool (>= 1) *)
   straggler_opt : bool;  (** §III-C unauthorized starts *)
   push_opt : bool;  (** §IV-B recipient-set pushes *)
   durability : bool;

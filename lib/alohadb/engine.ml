@@ -42,26 +42,6 @@ let options_of ?seed (params : Kernel.Params.t) =
                       s))
        in
        let cfg =
-         match params.runtime with
-         | None -> cfg
-         | Some s -> (
-             match Config.runtime_mode_of_string s with
-             | Some runtime_mode -> { cfg with Config.runtime_mode }
-             | None ->
-                 invalid_arg
-                   (Printf.sprintf
-                      "Alohadb.Engine: unknown runtime %S (expected sim|real)"
-                      s))
-       in
-       let cfg =
-         match params.domains with
-         | None -> cfg
-         | Some d ->
-             if d < 1 then
-               invalid_arg "Alohadb.Engine: --domains must be >= 1"
-             else { cfg with Config.domains = d }
-       in
-       let cfg =
          match params.fastpath with
          | None | Some false -> cfg
          | Some true -> { cfg with Config.fastpath = true }
@@ -99,9 +79,7 @@ let register c name h = Functor_cc.Registry.register (Cluster.registry c) name h
 let load c key v = Cluster.load c ~key v
 let start = Cluster.start
 
-(* Quiesce: under --runtime real this joins the worker-domain pool (the
-   simulated state stays readable); a no-op otherwise.  Idempotent. *)
-let stop = Cluster.shutdown
+let stop (_ : cluster) = ()
 let sim = Cluster.sim
 let metrics = Cluster.metrics
 let n_servers = Cluster.n_servers
@@ -161,8 +139,10 @@ let stage_keys =
     (* Planner stages: no samples outside the planned mode, so
        Result.extract drops them from pool/ondemand breakdowns.  The
        unitless plan.strata / plan.critical_path series stay out of the
-       latency breakdown and are read straight from the metrics. *)
-    ("plan build", "plan.build_us");
+       latency breakdown and are read straight from the metrics.
+       plan.build_us is host CPU time (Sys.time), not simulated time, and
+       its label says so. *)
+    ("plan build (host cpu)", "plan.build_us");
     ("plan evaluate", "plan.evaluate_us");
     (* Coordination-free commit latency: no samples unless --fastpath on. *)
     ("fastpath commit", "aloha.lat_fastpath_us") ]

@@ -110,9 +110,6 @@ type t = {
   h_lat_fastpath : Sim.Stats.Histogram.t;
   m_be_dropped : int ref;
   pool : Sim.Worker_pool.t;
-  real_pool : Runtime.Pool.t option;
-      (* worker-domain pool for --runtime real (shared cluster-wide);
-         None under the default sim runtime *)
   ts_source : Clocksync.Ts_source.t;
   part : Epoch.Participant.t;
   registry : Functor_cc.Registry.t;
@@ -978,7 +975,6 @@ let on_functor_final t ~key ~pending ~final =
 let spawn_engine t =
   let me = ref t.engine in
   let live () = t.engine == !me in
-  let strat_t0 = ref 0 in
   let callbacks =
     { Functor_cc.Compute_engine.is_local = (fun key -> owns t key);
       remote_get =
@@ -1058,7 +1054,7 @@ let spawn_engine t =
       ~dispatch_cost_us:t.config.Config.cost_dispatch_us ~metrics:t.metrics
       ?on_dispatch ();
   t.planner <-
-    Functor_cc.Planner.create ~engine ~pool:t.pool ?real:t.real_pool
+    Functor_cc.Planner.create ~engine ~pool:t.pool
       ~dispatch_cost_us:t.config.Config.cost_dispatch_us ~metrics:t.metrics
       ~is_local:(fun key -> owns t key)
       ~send_plan_sub:(fun ~key ~version ~dst_key ~dst_version ->
@@ -1069,22 +1065,6 @@ let spawn_engine t =
                (Message.Plan_sub { key; version; dst_key; dst_version })))
       ~now:(fun () -> Sim.Engine.now t.sim)
       ?on_dispatch
-      ~on_stratum:(fun ~size ->
-        (* The strata of one plan run back-to-back on the orchestrating
-           domain, so a single ref carries the wall-clock start from
-           dispatch to the matching [on_stratum_done]. *)
-        strat_t0 := Obs.Ledger.wall_us ();
-        if live () then
-          emit t ~txn:(-1) ~stage:Obs.Trace.Stratum_dispatch ~arg:size ())
-      ?on_stratum_done:
-        (match t.ledger with
-        | None -> None
-        | Some l ->
-            Some
-              (fun ~size ~workers ->
-                if live () then
-                  Obs.Ledger.note_stratum l ~node:t.node_id ~t0_us:!strat_t0
-                    ~t1_us:(Obs.Ledger.wall_us ()) ~size ~workers))
       ~on_evaluated:(fun ~elapsed_us ->
         if live () then
           emit t ~txn:(-1) ~stage:Obs.Trace.Plan_evaluate ~arg:elapsed_us ())
@@ -1216,8 +1196,7 @@ let fire_pending_closes t =
 (* ---- construction ------------------------------------------------------ *)
 
 let create ~sim ~data ~control ~addr ~node_id ~em ~clock ~partition_of
-    ~addr_of_partition ~my_partition ~registry ~config ~metrics ?obs
-    ?real_pool () =
+    ~addr_of_partition ~my_partition ~registry ~config ~metrics ?obs () =
   let pool = Sim.Worker_pool.create sim ~workers:config.Config.cores in
   let part =
     Epoch.Participant.create ~rpc:control ~addr ~em ~clock
@@ -1265,7 +1244,7 @@ let create ~sim ~data ~control ~addr ~node_id ~em ~clock ~partition_of
       h_lat_ro = h "aloha.lat_ro_us";
       h_lat_fastpath = h "aloha.lat_fastpath_us";
       m_be_dropped = c "aloha.be_dropped";
-      pool; real_pool; ts_source; part; registry;
+      pool; ts_source; part; registry;
       engine = bootstrap_engine;
       processor =
         Functor_cc.Processor.create ~engine:bootstrap_engine ~pool
@@ -1332,12 +1311,7 @@ let create ~sim ~data ~control ~addr ~node_id ~em ~clock ~partition_of
               Obs.Ledger.note_group l ~node:t.node_id ~epoch ~partition
                 ~ack_floor:(Repl.len prim.group - Repl.replica_lag prim.group)
                 ~live_followers:live ~degraded:(live = 0))
-            t.prims;
-          match t.real_pool with
-          | Some p ->
-              Obs.Ledger.note_pool l ~node:t.node_id ~epoch
-                ~workers:(Runtime.Pool.worker_stats p)
-          | None -> ());
+            t.prims);
       let ready, waiting =
         List.partition (fun (e, _) -> e <= epoch) t.delayed_reads
       in

@@ -33,13 +33,10 @@ val create :
   config:Config.t ->
   metrics:Sim.Metrics.t ->
   ?obs:Obs.Ctl.t ->
-  ?real_pool:Runtime.Pool.t ->
   unit -> t
 (** Wires up all handlers; the server is passive until the EM grants the
     first epoch.  [obs] turns on lifecycle tracing for every transaction
-    this server coordinates or stores.  [real_pool] (shared cluster-wide)
-    makes the planned compute mode evaluate its strata on worker domains
-    — the [--runtime real] backend. *)
+    this server coordinates or stores. *)
 
 val submit : t -> Txn.request -> (Txn.result -> unit) -> unit
 (** Client entry point (clients talk to their frontend directly, as the

@@ -88,10 +88,7 @@ let refresh_watermark chain =
    the transaction aborts; and dynamically named ones (e.g. TPC-C
    order rows keyed by the order id assigned here), which have no
    marker and are simply inserted.  Handlers name dependent keys as
-   strings; they are interned here, once per outcome.  Shared by the
-   sequential [apply_outcome] and the real-runtime [par_commit] — both
-   call it on the orchestrating domain ([Key.intern] takes a lock, but
-   worker domains never get here). *)
+   strings; they are interned here, once per outcome. *)
 let dep_writes_for (p : Funct.pending) outcome =
   let explicit =
     match outcome with
@@ -420,184 +417,6 @@ let merge_delta t ~key ~version =
   | Some pr ->
       incr t.m_fastpath_merges;
       compute_prepared t pr
-
-(* ---- real-runtime parallel evaluation (--runtime real) ---------------- *)
-
-(* A planner stratum contains at most one functor per key (intra-key
-   edges chain same-key versions into distinct strata), and every
-   in-plan read dependency resolves in an earlier stratum.  So inside a
-   stratum each worker domain touches only its own item's chain: resolve
-   the previous own-key value over final records, evaluate, flip the
-   record final, advance the watermark.  Everything cross-cutting —
-   recipient pushes, dependent writes, waiter continuations, metric
-   counters, key interning — is stashed in the task slot and applied by
-   the orchestrating domain after the stratum barrier ([par_commit]),
-   which also keeps `Sim.Metrics` and the obs tracer single-domain.
-
-   The three phases split by domain:
-   - [par_stage]   main domain, workers idle: eligibility + read staging
-   - [par_eval]    worker domain: chain-local work only
-   - [par_commit]  main domain, after the barrier: deferred effects
-
-   Anything not provably safe (Dep_marker chasing, remote or
-   still-pending reads, a missing handler) stays [Par_fallback]: the
-   planner's unchanged simulated dispatch path evaluates it with the
-   full machinery, and [compute_prepared]'s state re-check keeps the
-   whole arrangement at-most-once. *)
-
-type par_task = {
-  pt_node : prepared;
-  pt_handler : Registry.handler option; (* Some ⇔ user functor *)
-  pt_reads : (Key.t * Value.t option) list; (* staged on the main domain *)
-  pt_push_hits : int;
-  mutable pt_out : par_out;
-}
-
-and par_out =
-  | Par_fallback
-  | Par_done of {
-      outcome : Registry.outcome;
-      prev : Value.t option; (* own key below [version], for pushes *)
-      final : Funct.final;
-    }
-
-(* Value of [chain] at the highest version <= [version] reachable through
-   final records only — [get]'s skip-aborted walk, minus the ability to
-   wait.  [None] means a pending record blocks the walk. *)
-let rec final_value_le chain ~version =
-  match Mvstore.Chain.find_le chain ~version with
-  | None -> Some None
-  | Some (ver, record) -> (
-      match record.Funct.state with
-      | Funct.Final (Funct.Committed v) -> Some (Some v)
-      | Funct.Final Funct.Deleted_v -> Some None
-      | Funct.Final Funct.Aborted_v ->
-          if ver = 0 then Some None
-          else final_value_le chain ~version:(ver - 1)
-      | Funct.Pending _ -> None)
-
-let par_stage t pr =
-  match pr.p_record.Funct.state with
-  | Funct.Final _ -> None (* raced to final; the dispatch job no-ops *)
-  | Funct.Pending p -> (
-      let stage ?handler ?(reads = []) ?(push_hits = 0) () =
-        (* Mirror [ensure_computing]'s entry bookkeeping so a fallback
-           reset (or a raced on-demand read) observes a consistent
-           record; workers never touch [status]. *)
-        p.Funct.status <- Funct.Computing;
-        if p.Funct.retrieved_at_us < 0 then
-          p.Funct.retrieved_at_us <- t.cb.now ();
-        Some
-          { pt_node = pr; pt_handler = handler; pt_reads = reads;
-            pt_push_hits = push_hits; pt_out = Par_fallback }
-      in
-      match p.Funct.status with
-      | Funct.Computing -> None
-      | Funct.Installed -> (
-          match p.Funct.ftype with
-          | Ftype.Value | Ftype.Aborted | Ftype.Deleted -> assert false
-          | Ftype.Dep_marker _ ->
-              (* Marker resolution may chase remote determinate functors;
-                 leave it to the sequential machinery. *)
-              None
-          | Ftype.Add | Ftype.Subtr | Ftype.Max | Ftype.Min -> stage ()
-          | Ftype.User name -> (
-              match Registry.find t.registry name with
-              | None -> None (* fallback counts m_missing_handler *)
-              | Some handler -> (
-                  (* Resolve the read set here, on the orchestrating
-                     domain: push-buffer hits and cross-chain walks both
-                     touch state other workers may own. *)
-                  let push_hits = ref 0 in
-                  let rec resolve acc = function
-                    | [] -> Some (List.rev acc)
-                    | rk :: rest -> (
-                        match Funct.pushed_value p rk with
-                        | Some v ->
-                            incr push_hits;
-                            resolve ((rk, v) :: acc) rest
-                        | None ->
-                            if not (t.cb.is_local rk) then None
-                            else (
-                              match Mvstore.Table.chain t.table rk with
-                              | None -> resolve ((rk, None) :: acc) rest
-                              | Some rchain -> (
-                                  match
-                                    final_value_le rchain
-                                      ~version:(pr.p_version - 1)
-                                  with
-                                  | None -> None (* pending: must wait *)
-                                  | Some v -> resolve ((rk, v) :: acc) rest)))
-                  in
-                  match resolve [] p.Funct.farg.Funct.read_set with
-                  | None -> None
-                  | Some reads ->
-                      stage ~handler ~reads ~push_hits:!push_hits ()))))
-
-let par_eval _t task =
-  let pr = task.pt_node in
-  let p = pr.p_pending in
-  (* Own-chain walk: the only mutable state this domain touches.  If the
-     walk (or the handler) fails, [pt_out] stays [Par_fallback] and the
-     record is still Pending — the sequential path takes over. *)
-  match final_value_le pr.p_chain ~version:(pr.p_version - 1) with
-  | None -> ()
-  | Some prev ->
-      let outcome =
-        match (p.Funct.ftype, task.pt_handler) with
-        | (Ftype.Add | Ftype.Subtr | Ftype.Max | Ftype.Min), _ ->
-            eval_builtin p.Funct.ftype prev p.Funct.farg.Funct.args
-        | Ftype.User _, Some handler -> (
-            let ctx =
-              { Registry.key = Key.name pr.p_key; version = pr.p_version;
-                reads =
-                  List.map (fun (rk, v) -> (Key.name rk, v)) task.pt_reads;
-                args = p.Funct.farg.Funct.args }
-            in
-            try handler ctx
-            with Not_found | Invalid_argument _ -> Registry.Abort)
-        | _ -> assert false
-      in
-      let final = final_of_outcome outcome in
-      pr.p_record.Funct.state <- Funct.Final final;
-      refresh_watermark pr.p_chain;
-      task.pt_out <- Par_done { outcome; prev; final }
-
-let par_commit t task =
-  let pr = task.pt_node in
-  let p = pr.p_pending in
-  let key = pr.p_key and ver = pr.p_version in
-  match task.pt_out with
-  | Par_fallback ->
-      (* Undo the staging claim; the simulated dispatch job re-runs
-         [ensure_computing] with the full waiting machinery. *)
-      p.Funct.status <- Funct.Installed;
-      false
-  | Par_done { outcome; prev; final } ->
-      if task.pt_push_hits > 0 then
-        t.m_push_hits := !(t.m_push_hits) + task.pt_push_hits;
-      (match p.Funct.farg.Funct.recipients with
-      | [] -> ()
-      | recipients ->
-          List.iter
-            (fun dst_key ->
-              incr t.m_pushes_sent;
-              t.cb.send_push ~dst_key ~version:ver ~src_key:key prev)
-            recipients);
-      List.iter
-        (fun (dk, dfinal) -> t.cb.send_dep_write ~key:dk ~version:ver dfinal)
-        (dep_writes_for p outcome);
-      (* [finalize] minus the state flip and watermark advance, which the
-         worker already did on the record's own chain. *)
-      (match final with
-      | Funct.Aborted_v -> incr t.m_aborts_computed
-      | Funct.Committed _ | Funct.Deleted_v -> ());
-      incr t.m_computed;
-      t.cb.notify_final ~key ~version:ver ~pending:p ~final;
-      let waiters = p.Funct.waiters in
-      p.Funct.waiters <- [];
-      List.iter (fun w -> w final) waiters;
-      true
 
 (* ---- deliveries from the network ------------------------------------ *)
 

@@ -111,38 +111,6 @@ val merge_delta : t -> key:Mvstore.Key.t -> version:int -> unit
     record is absent, already final, or already computing (an on-demand
     read may have folded it first).  Counted as [fcc.fastpath_merges]. *)
 
-(** {2 Real-runtime parallel evaluation}
-
-    The [--runtime real] backend evaluates one planner stratum at a time
-    on a pool of worker domains.  A stratum holds at most one functor per
-    key and only reads values finalised by earlier strata, so the worker
-    side ({!par_eval}) touches nothing but its own item's chain; every
-    cross-cutting effect (pushes, dependent writes, waiters, metrics,
-    interning) is staged in the task and applied by {!par_commit} on the
-    orchestrating domain after the stratum barrier.  Items the stager
-    rejects — or whose evaluation could not complete chain-locally — fall
-    back to the unchanged sequential dispatch path. *)
-
-type par_task
-
-val par_stage : t -> prepared -> par_task option
-(** Main domain, workers idle.  [None] when the item must take the
-    sequential path (already final/computing, Dep_marker, missing
-    handler, remote or still-pending reads).  A returned task has
-    claimed the record ([Installed] → [Computing]). *)
-
-val par_eval : t -> par_task -> unit
-(** Worker domain.  Chain-local only: resolve own-key prev over final
-    records, evaluate, flip the record final, advance the watermark.  On
-    any failure the task reverts to fallback and the record stays
-    pending. *)
-
-val par_commit : t -> par_task -> bool
-(** Main domain, after the stratum barrier.  Applies the deferred
-    effects in stratum order and returns [true]; or, for a fallback
-    task, releases the claim ([Computing] → [Installed]) so the
-    sequential dispatch re-evaluates it, and returns [false]. *)
-
 val deliver_push :
   t -> key:Mvstore.Key.t -> version:int -> src_key:Mvstore.Key.t ->
   Value.t option -> unit

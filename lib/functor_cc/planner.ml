@@ -3,23 +3,17 @@ module Key = Mvstore.Key
 type t = {
   engine : Compute_engine.t;
   pool : Sim.Worker_pool.t;
-  real : Runtime.Pool.t option;
   dispatch_cost_us : int;
   is_local : Key.t -> bool;
   send_plan_sub :
     key:Key.t -> version:int -> dst_key:Key.t -> dst_version:int -> unit;
   now : unit -> int;
   on_dispatch : (key:Key.t -> version:int -> unit) option;
-  on_stratum : (size:int -> unit) option;
-  on_stratum_done : (size:int -> workers:(int * int * int) array -> unit) option;
   on_evaluated : (elapsed_us:int -> unit) option;
   m_plans : int ref;
   m_nodes : int ref;
   m_edges : int ref;
   m_subs_sent : int ref;
-  m_real_strata : int ref;
-  m_real_evaluated : int ref;
-  m_real_fallback : int ref;
   metrics : Sim.Metrics.t;
   mutable plans : int;
 }
@@ -32,42 +26,34 @@ type stats = {
   subs_sent : int;
 }
 
-let create ~engine ~pool ?real ~dispatch_cost_us ~metrics
+let create ~engine ~pool ~dispatch_cost_us ~metrics
     ?(is_local = fun _ -> true)
     ?(send_plan_sub = fun ~key:_ ~version:_ ~dst_key:_ ~dst_version:_ -> ())
-    ?(now = fun () -> 0) ?on_dispatch ?on_stratum ?on_stratum_done
-    ?on_evaluated () =
+    ?(now = fun () -> 0) ?on_dispatch ?on_evaluated () =
   let c = Sim.Metrics.counter metrics in
-  { engine; pool; real; dispatch_cost_us; is_local; send_plan_sub; now;
-    on_dispatch; on_stratum; on_stratum_done; on_evaluated;
+  { engine; pool; dispatch_cost_us; is_local; send_plan_sub; now;
+    on_dispatch; on_evaluated;
     m_plans = c "plan.plans";
     m_nodes = c "plan.nodes";
     m_edges = c "plan.edges";
     m_subs_sent = c "plan.subs_sent";
-    m_real_strata = c "plan.real_strata";
-    m_real_evaluated = c "plan.real_evaluated";
-    m_real_fallback = c "plan.real_fallback";
     metrics; plans = 0 }
 
 let plans t = t.plans
 
 (* Kahn levels over the adjacency/indegree arrays.  Edges strictly
    increase version, so the graph is a DAG and the peeling consumes every
-   node; the level count is the length (in nodes) of the longest chain.
-   Returns the per-level node-index membership (each level sorted in plan
-   order) — the simulated runtime only reads the count, the real runtime
-   dispatches each level as one batch. *)
+   node; the level count is the length (in nodes) of the longest chain. *)
 let stratify ~n ~succs ~indeg =
   let indeg = Array.copy indeg in
   let frontier = ref [] in
   for i = n - 1 downto 0 do
     if indeg.(i) = 0 then frontier := i :: !frontier
   done;
-  let levels = ref [] in
+  let levels = ref 0 in
   let consumed = ref 0 in
   while !frontier <> [] do
-    let level = List.sort compare !frontier in
-    levels := Array.of_list level :: !levels;
+    incr levels;
     let next = ref [] in
     List.iter
       (fun i ->
@@ -77,11 +63,11 @@ let stratify ~n ~succs ~indeg =
             indeg.(j) <- indeg.(j) - 1;
             if indeg.(j) = 0 then next := j :: !next)
           succs.(i))
-      level;
+      !frontier;
     frontier := !next
   done;
   assert (!consumed = n);
-  Array.of_list (List.rev !levels)
+  !levels
 
 let run t ~items =
   let build_t0 = Sys.time () in
@@ -234,8 +220,7 @@ let run t ~items =
               end)
             read_set)
     nodes;
-  let strata_levels = if n = 0 then [||] else stratify ~n ~succs ~indeg in
-  let strata = Array.length strata_levels in
+  let strata = if n = 0 then 0 else stratify ~n ~succs ~indeg in
   let critical_path = if strata = 0 then 0 else strata - 1 in
   let build_us =
     int_of_float (Float.max 0. ((Sys.time () -. build_t0) *. 1e6))
@@ -269,57 +254,6 @@ let run t ~items =
             end))
       nodes
   end;
-  (* 3r. Real runtime: evaluate the plan eagerly, stratum by stratum, on
-     the worker-domain pool.  Each level's items have pairwise-distinct
-     keys and only read values finalised by earlier levels, so the
-     workers' chain-local writes cannot conflict; [run_batch] is the
-     stratum barrier and [par_commit] applies every cross-cutting effect
-     back on this domain.  The simulated dispatch below still runs —
-     evaluated records no-op through [compute_prepared] (keeping the
-     simulated timeline identical to `--runtime sim`), while items the
-     stager rejected are computed there with the full machinery. *)
-  (match t.real with
-  | Some rpool when n > 0 ->
-      Array.iter
-        (fun level ->
-          (match t.on_stratum with
-          | Some f -> f ~size:(Array.length level)
-          | None -> ());
-          incr t.m_real_strata;
-          let tasks =
-            Array.to_list level
-            |> List.filter_map (fun i ->
-                   Compute_engine.par_stage t.engine nodes.(i))
-            |> Array.of_list
-          in
-          let before =
-            match t.on_stratum_done with
-            | Some _ -> Runtime.Pool.worker_stats rpool
-            | None -> [||]
-          in
-          Runtime.Pool.run_batch rpool
-            (Array.map
-               (fun task () -> Compute_engine.par_eval t.engine task)
-               tasks);
-          (match t.on_stratum_done with
-          | Some f ->
-              let after = Runtime.Pool.worker_stats rpool in
-              f ~size:(Array.length level)
-                ~workers:
-                  (Array.mapi
-                     (fun i (c1, s1, q1) ->
-                       let c0, s0, _ = before.(i) in
-                       (c1 - c0, s1 - s0, q1))
-                     after)
-          | None -> ());
-          Array.iter
-            (fun task ->
-              if Compute_engine.par_commit t.engine task then
-                incr t.m_real_evaluated
-              else incr t.m_real_fallback)
-            tasks)
-        strata_levels
-  | Some _ | None -> ());
   (* 3. Dispatch one job per *item* in install order — identical job
      sequence (count, order, cost) to the pool processor, so the
      simulated timeline is mode-invariant; only the per-job host work

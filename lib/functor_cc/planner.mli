@@ -52,7 +52,6 @@ type stats = {
 val create :
   engine:Compute_engine.t ->
   pool:Sim.Worker_pool.t ->
-  ?real:Runtime.Pool.t ->
   dispatch_cost_us:int ->
   metrics:Sim.Metrics.t ->
   ?is_local:(Mvstore.Key.t -> bool) ->
@@ -61,8 +60,6 @@ val create :
      dst_version:int -> unit) ->
   ?now:(unit -> int) ->
   ?on_dispatch:(key:Mvstore.Key.t -> version:int -> unit) ->
-  ?on_stratum:(size:int -> unit) ->
-  ?on_stratum_done:(size:int -> workers:(int * int * int) array -> unit) ->
   ?on_evaluated:(elapsed_us:int -> unit) ->
   unit -> t
 (** [is_local] defaults to treating every key as local (single-partition
@@ -71,17 +68,7 @@ val create :
     push/remote-read race.  [now] (simulated time) feeds the
     plan-evaluation histogram; [on_dispatch] observes each node leaving
     the plan for the pool (lifecycle tracing); [on_evaluated] fires once
-    when the last node of a plan finalises.
-
-    [real] switches on the [--runtime real] backend: each Kahn stratum
-    is evaluated eagerly as one batch on the worker-domain pool
-    (barriering between strata) before the simulated dispatch runs;
-    evaluated records then no-op through {!Compute_engine.compute_prepared},
-    so the simulated timeline is unchanged.  [on_stratum] observes each
-    batch leaving for the domain pool (lifecycle tracing);
-    [on_stratum_done] fires after the stratum barrier with the per-worker
-    (completed, stolen, queue) deltas across the batch — the occupancy
-    feed for the epoch ledger's per-worker profiling tracks. *)
+    when the last node of a plan finalises. *)
 
 val run : t -> items:Processor.item list -> stats
 (** Build and dispatch one plan over [items] (an epoch's drained buffer,

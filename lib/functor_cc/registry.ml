@@ -31,12 +31,12 @@ type outcome =
 
 type handler = ctx -> outcome
 
-(* Domain safety (--runtime real): registration happens at deployment
-   time, before the cluster starts — the table is read-only once worker
-   domains exist, so [find] stays lock-free (concurrent [Hashtbl]
-   readers are safe when nobody writes).  The mutex makes the
-   registration phase itself safe should two setup paths race, and keeps
-   the duplicate check atomic with the insert. *)
+(* Domain safety: registration happens at deployment time, before the
+   cluster starts, and the table is read-only afterwards, so [find]
+   stays lock-free (concurrent [Hashtbl] readers are safe when nobody
+   writes).  The mutex makes the registration phase itself safe should
+   two setup paths race on different domains, and keeps the duplicate
+   check atomic with the insert. *)
 type t = { handlers : (string, handler) Hashtbl.t; lock : Mutex.t }
 
 let create () = { handlers = Hashtbl.create 32; lock = Mutex.create () }

@@ -24,7 +24,7 @@ val pp_result : Format.formatter -> result -> unit
 
 val run :
   Setup.built ->
-  arrival:Arrivals.t ->
+  arrival:Kernel.Arrivals.t ->
   ?obs:Obs.Ctl.t ->
   ?warmup_us:int ->
   ?measure_us:int ->
@@ -38,7 +38,7 @@ val run_engine :
   (module Kernel.Intf.ENGINE with type cluster = 'c) ->
   cluster:'c ->
   gen:(fe:int -> Kernel.Txn.t) ->
-  arrival:Arrivals.t ->
+  arrival:Kernel.Arrivals.t ->
   ?on_reply:(fe:int -> Kernel.Txn.reply -> unit) ->
   ?obs:Obs.Ctl.t ->
   ?warmup_us:int ->

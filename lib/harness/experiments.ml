@@ -117,7 +117,8 @@ let run_point ?epoch_us ?compute ~engine ~n ~workload ~arrival scale =
 
 let peak ?compute ~engine ~n ~workload scale =
   run_point ?compute ~engine ~n ~workload
-    ~arrival:(Arrivals.Closed { clients_per_fe = clients_for scale engine })
+    ~arrival:
+      (Kernel.Arrivals.Closed { clients_per_fe = clients_for scale engine })
     scale
 
 (* ---- Figure 6: throughput vs latency ------------------------------------ *)
@@ -143,7 +144,7 @@ let fig6 scale =
         (fun f ->
           let rate = peak_r.Driver.throughput_tps *. f /. float_of_int n in
           if rate >= 1.0 then begin
-            let arrival = Arrivals.Open_poisson { rate_per_fe = rate } in
+            let arrival = Kernel.Arrivals.Open_poisson { rate_per_fe = rate } in
             let r = run_point ~engine ~n ~workload ~arrival scale in
             row_tps_lat "fig6" ~series:name
               ~point:(Printf.sprintf "open(%.2fx)" f)
@@ -255,7 +256,7 @@ let fig10 scale =
       (* Light load: ~5 % of a saturated server. *)
       let r =
         run_point ~engine:aloha ~n ~workload:(YCSB { ci })
-          ~arrival:(Arrivals.Open_poisson { rate_per_fe = 5_000.0 })
+          ~arrival:(Kernel.Arrivals.Open_poisson { rate_per_fe = 5_000.0 })
           scale
       in
       print_stages "fig10" (Printf.sprintf "ALOHA ci=%g" ci) r)
@@ -266,7 +267,7 @@ let fig10 scale =
    Printf.printf "[fig10] ALOHA(planned): compute mode = planned\n%!";
    let r =
      run_point ~engine:aloha ~n ~workload:(YCSB { ci }) ~compute:"planned"
-       ~arrival:(Arrivals.Open_poisson { rate_per_fe = 5_000.0 })
+       ~arrival:(Kernel.Arrivals.Open_poisson { rate_per_fe = 5_000.0 })
        scale
    in
    print_stages "fig10" (Printf.sprintf "ALOHA(planned) ci=%g" ci) r);
@@ -275,7 +276,7 @@ let fig10 scale =
       let rate = if ci >= 0.1 then 150.0 else 500.0 in
       let r =
         run_point ~engine:calvin ~n ~workload:(YCSB { ci })
-          ~arrival:(Arrivals.Open_poisson { rate_per_fe = rate })
+          ~arrival:(Kernel.Arrivals.Open_poisson { rate_per_fe = rate })
           scale
       in
       print_stages "fig10" (Printf.sprintf "Calvin ci=%g" ci) r)
@@ -297,7 +298,7 @@ let fig11 scale =
       in
       let r =
         run_point ~engine:aloha ~n ~epoch_us ~workload:(YCSB { ci = 1e-3 })
-          ~arrival:(Arrivals.Open_poisson { rate_per_fe = 2_000.0 })
+          ~arrival:(Kernel.Arrivals.Open_poisson { rate_per_fe = 2_000.0 })
           scale'
       in
       row_lat "fig11" ~series:"ALOHA" ~point:(Printf.sprintf "%-3d" ms) r)
@@ -315,7 +316,8 @@ let fig11 scale =
       let r =
         run_point ~engine:calvin ~n ~epoch_us ~workload:(YCSB { ci = 1e-3 })
           ~arrival:
-            (Arrivals.Open_burst { rate_per_fe = 500.0; period_us = epoch_us })
+            (Kernel.Arrivals.Open_burst
+               { rate_per_fe = 500.0; period_us = epoch_us })
           scale'
       in
       row_lat "fig11" ~series:"Calvin" ~point:(Printf.sprintf "%-3d" ms) r)
@@ -378,7 +380,7 @@ let ablation_straggler scale =
           (module Alohadb.Engine)
           ~cluster:c
           ~gen:(fun ~fe -> Workload.Ycsb.gen gen ~fe)
-          ~arrival:(Arrivals.Open_poisson { rate_per_fe = 110_000.0 })
+          ~arrival:(Kernel.Arrivals.Open_poisson { rate_per_fe = 110_000.0 })
           ~warmup_us:150_000 ~measure_us:370_000 ()
       in
       ignore scale;
@@ -446,7 +448,8 @@ let ablation_push scale =
         Driver.run_engine
           (module Alohadb.Engine)
           ~cluster:c ~gen
-          ~arrival:(Arrivals.Closed { clients_per_fe = scale.aloha_clients })
+          ~arrival:
+            (Kernel.Arrivals.Closed { clients_per_fe = scale.aloha_clients })
           ~warmup_us:scale.warmup_us ~measure_us:scale.measure_us ()
       in
       let m = Alohadb.Cluster.metrics c in
@@ -515,7 +518,9 @@ let ablation_dependent scale =
       Driver.run_engine
         (module Alohadb.Engine)
         ~cluster:c ~gen
-        ~arrival:(Arrivals.Closed { clients_per_fe = scale.aloha_clients / 2 })
+        ~arrival:
+          (Kernel.Arrivals.Closed
+             { clients_per_fe = scale.aloha_clients / 2 })
         ~warmup_us:scale.warmup_us ~measure_us:scale.measure_us ()
     in
     row "ablation-dependent"

@@ -16,25 +16,11 @@ type macro_point = {
   lat_p99_ms : float option;
 }
 
-(* One wall-clock measurement of the real runtime's compute phase:
-   [txns] functor evaluations finished in [wall_s] seconds on [domains]
-   worker domains.  Unlike macro points these are host-machine times, so
-   the file also records the host's core count — a 1-core host can only
-   show speedup on latency-bound series. *)
-type real_point = {
-  r_series : string;
-  r_workload : string;
-  r_domains : int;
-  r_wall_s : float;
-  r_txns : int;
-}
-
 let enabled = ref false
 let macro_points : macro_point list ref = ref []
 let raw_rows : (string * string list) list ref = ref []
 let fig_times : (string * float) list ref = ref []
 let micro_results : (string * float) list ref = ref []
-let real_points : real_point list ref = ref []
 
 let enable () = enabled := true
 let recording () = !enabled
@@ -51,15 +37,6 @@ let record_fig_time ~fig ~seconds =
 
 let record_micro ~name ~ns_per_op =
   if !enabled then micro_results := (name, ns_per_op) :: !micro_results
-
-let record_real ~series ~workload ~domains ~wall_s ~txns =
-  if !enabled then
-    real_points :=
-      { r_series = series; r_workload = workload; r_domains = domains;
-        r_wall_s = wall_s; r_txns = txns }
-      :: !real_points
-
-let real_recorded () = !real_points <> []
 
 (* ---- JSON emission (hand-rolled; no json dependency) -------------------- *)
 
@@ -132,50 +109,6 @@ let write_macro ~scale path =
        (String.concat "," (List.rev_map point_json !macro_points))
        (String.concat "," (List.rev_map row_json !raw_rows))
        (String.concat "," (List.rev_map time_json !fig_times)))
-
-(* Groups points by series (preserving first-seen order), derives txn/s
-   and the speedup relative to the same series' 1-domain point.  The
-   1-domain baseline is part of the series contract: record one per
-   series or speedup_vs_1 comes out null. *)
-let write_real ~host_cores path =
-  let points = List.rev !real_points in
-  let series_names =
-    List.fold_left
-      (fun acc p -> if List.mem p.r_series acc then acc else p.r_series :: acc)
-      [] points
-    |> List.rev
-  in
-  let series_json name =
-    let pts = List.filter (fun p -> p.r_series = name) points in
-    let workload =
-      match pts with [] -> "" | p :: _ -> p.r_workload
-    in
-    let base =
-      List.find_opt (fun p -> p.r_domains = 1) pts
-      |> Option.map (fun p -> p.r_wall_s)
-    in
-    let point_json p =
-      let txn_s =
-        if p.r_wall_s > 0.0 then float_of_int p.r_txns /. p.r_wall_s else 0.0
-      in
-      let speedup =
-        match base with
-        | Some b when p.r_wall_s > 0.0 -> Some (b /. p.r_wall_s)
-        | _ -> None
-      in
-      Printf.sprintf
-        "{\"domains\":%d,\"wall_s\":%s,\"txns\":%d,\"txn_s\":%s,\"speedup_vs_1\":%s}"
-        p.r_domains (jfloat p.r_wall_s) p.r_txns (jfloat txn_s)
-        (jfloat_opt speedup)
-    in
-    Printf.sprintf "{\"name\":%s,\"workload\":%s,\"points\":[%s]}" (jstr name)
-      (jstr workload)
-      (String.concat "," (List.map point_json pts))
-  in
-  write path
-    (Printf.sprintf
-       "{\"suite\":\"real\",\"host_cores\":%d,\"series\":[%s]}" host_cores
-       (String.concat "," (List.map series_json series_names)))
 
 (* ---- availability under chaos (BENCH_availability.json) ------------------ *)
 

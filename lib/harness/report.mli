@@ -23,19 +23,6 @@ val record_row : fig:string -> cols:string list -> unit
 val record_fig_time : fig:string -> seconds:float -> unit
 val record_micro : name:string -> ns_per_op:float -> unit
 
-val record_real :
-  series:string ->
-  workload:string ->
-  domains:int ->
-  wall_s:float ->
-  txns:int ->
-  unit
-(** One wall-clock point for the real runtime's compute phase: [txns]
-    functor evaluations in [wall_s] host seconds on [domains] domains.
-    Record a [domains:1] point per series — it is the speedup baseline. *)
-
-val real_recorded : unit -> bool
-
 val write_micro : string -> unit
 val write_macro : scale:string -> string -> unit
 
@@ -44,12 +31,6 @@ val write_timeline : string -> string list -> unit
     [Obs.Ledger.to_lines]) to a TIMELINE.jsonl file, creating it if
     absent.  Append-only on purpose: successive runs accumulate segments
     that [Obs.Analyze] separates at the meta lines.  Unconditional. *)
-
-val write_real : host_cores:int -> string -> unit
-(** Write BENCH_real.json: per-series wall-clock points with derived
-    txn/s and speedup over the same series' 1-domain run, plus the host
-    core count (wall-clock numbers are machine-dependent, unlike the
-    simulated macro suite). *)
 
 type avail_series = {
   av_replicas : int;

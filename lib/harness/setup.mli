@@ -5,9 +5,7 @@
     loads the initial data, starts the cluster, and pairs it with the
     workload's request generator.  The result is a {!built} existential
     ready for {!Driver.run}.  [compute] selects an engine-specific
-    compute-phase mode (ALOHA: "ondemand" / "pool" / "planned");
-    [runtime] selects the execution backend ("sim" / "real") and
-    [domains] the real runtime's worker-domain count. *)
+    compute-phase mode (ALOHA: "ondemand" / "pool" / "planned"). *)
 
 type built =
   | Built :
@@ -31,8 +29,6 @@ val build :
   ?epoch_us:int ->
   ?obs:Obs.Ctl.t ->
   ?compute:string ->
-  ?runtime:string ->
-  ?domains:int ->
   ?replicas:int ->
   ?fastpath:bool ->
   ?seed:int ->
@@ -53,8 +49,6 @@ val tpcc :
   ?epoch_us:int ->
   ?obs:Obs.Ctl.t ->
   ?compute:string ->
-  ?runtime:string ->
-  ?domains:int ->
   ?replicas:int ->
   ?fastpath:bool ->
   ?seed:int ->
@@ -68,8 +62,6 @@ val stpcc :
   ?epoch_us:int ->
   ?obs:Obs.Ctl.t ->
   ?compute:string ->
-  ?runtime:string ->
-  ?domains:int ->
   ?replicas:int ->
   ?fastpath:bool ->
   ?seed:int ->
@@ -84,8 +76,6 @@ val ycsb :
   ?epoch_us:int ->
   ?obs:Obs.Ctl.t ->
   ?compute:string ->
-  ?runtime:string ->
-  ?domains:int ->
   ?replicas:int ->
   ?fastpath:bool ->
   ?seed:int ->

@@ -14,14 +14,6 @@ type t = {
       (* engine-specific compute-phase selector (e.g. ALOHA's
          "ondemand" / "pool" / "planned"); engines without a compute
          phase ignore it. *)
-  runtime : string option;
-      (* execution backend: "sim" (default; everything on the simulation
-         domain) or "real" (ALOHA evaluates planned functor strata on a
-         pool of OCaml 5 worker domains).  Engines without a real
-         backend ignore it. *)
-  domains : int option;
-      (* worker-domain count for the real runtime; None = engine
-         default.  Ignored under runtime "sim". *)
   replicas : int option;
       (* replication degree per partition; None/Some 1 = unreplicated.
          Engines without replication ignore it. *)
@@ -31,7 +23,12 @@ type t = {
          without such a lane ignore it. *)
 }
 
-let make ?epoch_us ?faults ?obs ?compute ?runtime ?domains ?replicas
-    ?fastpath ~n_servers () =
-  { n_servers; epoch_us; faults; obs; compute; runtime; domains; replicas;
-    fastpath }
+let make ?epoch_us ?faults ?obs ?compute ?runtime ?replicas ?fastpath
+    ~n_servers () =
+  (match runtime with
+  | None | Some "sim" -> ()
+  | Some other ->
+      invalid_arg
+        (Printf.sprintf "Params.make: runtime %S (only \"sim\" exists)"
+           other));
+  { n_servers; epoch_us; faults; obs; compute; replicas; fastpath }

@@ -23,14 +23,6 @@ type t = {
       (** engine-specific compute-phase selector (ALOHA accepts
           "ondemand" / "pool" / "planned"); engines without a compute
           phase ignore it *)
-  runtime : string option;
-      (** execution backend: "sim" (default; single-domain simulation) or
-          "real" (ALOHA evaluates planned functor strata on a pool of
-          OCaml 5 worker domains, for wall-clock measurements); engines
-          without a real backend ignore it *)
-  domains : int option;
-      (** worker-domain count for the real runtime; [None] leaves the
-          engine default.  Ignored under runtime "sim" *)
   replicas : int option;
       (** replication degree per partition (ALOHA ships each partition's
           WAL to [k - 1] follower backends and fails over on crash);
@@ -45,5 +37,7 @@ type t = {
 
 val make :
   ?epoch_us:int -> ?faults:Net.Faults.t -> ?obs:Obs.Ctl.t ->
-  ?compute:string -> ?runtime:string -> ?domains:int -> ?replicas:int ->
-  ?fastpath:bool -> n_servers:int -> unit -> t
+  ?compute:string -> ?runtime:string -> ?replicas:int -> ?fastpath:bool ->
+  n_servers:int -> unit -> t
+(** [runtime] is accepted for older callers and must be ["sim"], the only
+    execution backend; anything else raises [Invalid_argument]. *)

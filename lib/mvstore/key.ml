@@ -6,16 +6,14 @@
    names, which is exactly the behaviour a per-run table would give for a
    single run, without threading an interner through every constructor.
 
-   Domain safety (--runtime real): the table is process-global mutable
-   state, so [intern] takes a mutex.  The whole lookup is inside the
-   critical section — not just the miss path — because a concurrent
-   [Hashtbl.add] can resize the table out from under a lock-free
-   [find_opt].  The lock is uncontended in practice (the real runtime's
-   worker domains never intern: read sets are staged and dependent keys
-   interned on the orchestrating domain), so the cost is a single
-   uncontended lock/unlock — a few tens of nanoseconds on the install
-   path, which the interning regression test hammers from 4 domains to
-   keep honest. *)
+   Domain safety: the table is process-global mutable state, so [intern]
+   takes a mutex and is safe to call from any domain.  The whole lookup
+   is inside the critical section — not just the miss path — because a
+   concurrent [Hashtbl.add] can resize the table out from under a
+   lock-free [find_opt].  The simulation interns from one domain, so the
+   lock is uncontended and costs a single lock/unlock — a few tens of
+   nanoseconds on the install path; the interning regression test
+   hammers it from 4 domains to keep the guarantee honest. *)
 
 type t = {
   id : int;
@@ -25,7 +23,7 @@ type t = {
       (* One generation-stamped memo slot per key.  Holders of a stamp
          (e.g. a cluster's partitioner) can cache an int per key — the
          partition id — without a side table.  Not synchronized: memoize
-         from the orchestrating domain only (see [memo_int]). *)
+         from the simulation's domain only (see [memo_int]). *)
 }
 
 let table : (string, t) Hashtbl.t = Hashtbl.create 65_536
@@ -60,7 +58,7 @@ let new_stamp () =
   !next_stamp
 
 (* Single-domain by design (cluster assembly and message routing run on
-   the orchestrating domain).  The write order still matters for crash
+   the simulation's domain).  The write order still matters for crash
    robustness of that assumption: publish the memo value before the
    stamp, so a racing same-stamp reader can never observe the new stamp
    with the old value. *)

@@ -8,17 +8,14 @@
     one thread per transaction shard. *)
 
 val chrome_trace :
-  ?engine:string -> ?shards:int -> ?ledger:Ledger.t -> trace:Trace.t ->
-  gauges:Gauges.t option -> unit -> string
+  ?engine:string -> ?shards:int -> trace:Trace.t -> gauges:Gauges.t option ->
+  unit -> string
 (** Render a full Chrome trace_events JSON document.  [shards] (default
-    64) is the number of tid lanes transactions are folded onto.
-    [ledger] adds per-worker runtime tracks above the shard lanes
-    (tid = shards + worker): one B/E span per worker per recorded
-    [--runtime real] stratum, with steal instants at span end. *)
+    64) is the number of tid lanes transactions are folded onto. *)
 
 val write_chrome_trace :
-  path:string -> ?engine:string -> ?shards:int -> ?ledger:Ledger.t ->
-  trace:Trace.t -> gauges:Gauges.t option -> unit -> unit
+  path:string -> ?engine:string -> ?shards:int -> trace:Trace.t ->
+  gauges:Gauges.t option -> unit -> unit
 
 type rollup_row = {
   epoch : int;

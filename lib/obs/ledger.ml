@@ -28,7 +28,6 @@ type row = {
   mutable r_watermark_lag_us : int;
   mutable r_groups : group_row list;
   mutable r_plan : plan_row option;
-  mutable r_pool : (int * int * int) array option;
 }
 
 type event_kind = Crash | Restart | Detect | Promote | First_commit
@@ -40,21 +39,12 @@ type event = {
   e_partition : int;
 }
 
-type stratum = {
-  s_node : int;
-  s_t0_us : int;
-  s_t1_us : int;
-  s_size : int;
-  s_workers : (int * int * int) array;
-}
-
 type t = {
   mutable cfg_epoch_us : int;
   mutable nodes : int;
   mutable replicas : int;
   tbl : (int * int, row) Hashtbl.t;  (* (epoch, node) -> row *)
   mutable evs : event list;  (* newest first *)
-  mutable strat : stratum list;  (* newest first *)
   watch : (int, unit) Hashtbl.t;  (* partitions awaiting first commit *)
 }
 
@@ -62,7 +52,6 @@ let create ?(cfg_epoch_us = 0) ?(nodes = 0) ?(replicas = 1) () =
   { cfg_epoch_us; nodes; replicas;
     tbl = Hashtbl.create 256;
     evs = [];
-    strat = [];
     watch = Hashtbl.create 4 }
 
 let set_meta t ~cfg_epoch_us ~nodes ~replicas =
@@ -83,8 +72,7 @@ let row t ~node ~epoch =
         { r_epoch = epoch; r_node = node; r_open_us = -1; r_close_us = -1;
           r_wall_open_us = -1; r_wall_close_us = -1; r_assigned = 0;
           r_fast_commits = 0; r_fast_merges = 0; r_watermark = -1;
-          r_watermark_lag_us = 0; r_groups = []; r_plan = None;
-          r_pool = None }
+          r_watermark_lag_us = 0; r_groups = []; r_plan = None }
       in
       Hashtbl.replace t.tbl key r;
       r
@@ -143,10 +131,6 @@ let note_plan t ~node ~epoch ~nodes ~edges ~strata ~critical_path =
       { pl_nodes = nodes; pl_edges = edges; pl_strata = strata;
         pl_critical_path = critical_path }
 
-let note_pool t ~node ~epoch ~workers =
-  let r = row t ~node ~epoch in
-  r.r_pool <- Some workers
-
 let note_close t ~node ~epoch ~t_us ~watermark ~watermark_lag_us =
   let r = row t ~node ~epoch in
   r.r_close_us <- t_us;
@@ -173,12 +157,6 @@ let note_commit t ~node ~t_us ~partitions =
         end)
       partitions
 
-let note_stratum t ~node ~t0_us ~t1_us ~size ~workers =
-  t.strat <-
-    { s_node = node; s_t0_us = t0_us; s_t1_us = t1_us; s_size = size;
-      s_workers = workers }
-    :: t.strat
-
 let rows t =
   Hashtbl.fold (fun _ r acc -> r :: acc) t.tbl []
   |> List.sort (fun a b ->
@@ -187,7 +165,6 @@ let rows t =
          | c -> c)
 
 let events t = List.rev t.evs
-let strata t = List.rev t.strat
 
 let kind_name = function
   | Crash -> "crash"
@@ -199,7 +176,6 @@ let kind_name = function
 let clear t =
   Hashtbl.reset t.tbl;
   t.evs <- [];
-  t.strat <- [];
   Hashtbl.reset t.watch
 
 (* ---- JSONL rendering ---------------------------------------------------- *)
@@ -249,19 +225,6 @@ let row_json t r =
            ",\"plan\":{\"nodes\":%d,\"edges\":%d,\"strata\":%d,\
             \"critical_path\":%d}"
            p.pl_nodes p.pl_edges p.pl_strata p.pl_critical_path));
-  (match r.r_pool with
-  | None -> ()
-  | Some ws ->
-      Buffer.add_string b ",\"pool\":[";
-      Array.iteri
-        (fun i (c, s, q) ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf
-               "{\"worker\":%d,\"completed\":%d,\"stolen\":%d,\"queue\":%d}"
-               i c s q))
-        ws;
-      Buffer.add_char b ']');
   if r.r_groups <> [] then begin
     Buffer.add_string b ",\"groups\":[";
     List.iteri
@@ -283,24 +246,6 @@ let event_json ev =
      \"partition\":%d}"
     (kind_name ev.e_kind) ev.e_node ev.e_t_us ev.e_partition
 
-let stratum_json s =
-  let b = Buffer.create 128 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"type\":\"stratum\",\"node\":%d,\"t0_us\":%d,\"t1_us\":%d,\
-        \"size\":%d,\"workers\":["
-       s.s_node s.s_t0_us s.s_t1_us s.s_size);
-  Array.iteri
-    (fun i (c, st, q) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"worker\":%d,\"completed\":%d,\"stolen\":%d,\"queue\":%d}" i c
-           st q))
-    s.s_workers;
-  Buffer.add_string b "]}";
-  Buffer.contents b
-
 let to_lines t =
   let meta =
     Printf.sprintf
@@ -309,4 +254,3 @@ let to_lines t =
   in
   (meta :: List.map (row_json t) (rows t))
   @ List.map event_json (events t)
-  @ List.map stratum_json (strata t)

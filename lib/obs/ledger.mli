@@ -1,14 +1,12 @@
 (** Epoch-granularity telemetry ledger: one structured record per epoch
     per node, plus a global event stream (crash / detect / promote /
-    first-post-failover-commit) and, under [--runtime real], per-stratum
-    worker-occupancy spans.
+    first-post-failover-commit).
 
     The ledger is a passive accumulator — the engine calls the [note_*]
     setters from its existing hook sites — and rows render to JSONL
     ({!to_lines}) for the append-only TIMELINE.jsonl written through
     [Harness.Report].  Like the trace ring it is single-writer: only the
-    domain driving the simulation calls [note_*] (worker domains never
-    touch it; the planner samples pool counters from the orchestrator).
+    domain driving the simulation calls [note_*].
 
     A ledger is wired in via [Obs.Ctl.create ?ledger]; when absent every
     emit site reduces to one option test, so the default is
@@ -48,8 +46,6 @@ type row = {
   mutable r_watermark_lag_us : int;
   mutable r_groups : group_row list;  (** groups this node leads *)
   mutable r_plan : plan_row option;
-  mutable r_pool : (int * int * int) array option;
-      (** cumulative (completed, stolen, queue) per pool worker at close *)
 }
 
 type event_kind = Crash | Restart | Detect | Promote | First_commit
@@ -61,19 +57,6 @@ type event = {
   e_partition : int;  (** -1 when not partition-scoped *)
 }
 
-(** One real-runtime stratum evaluated on the worker pool: wall-clock
-    bounds plus the per-worker (completed, stolen, queue) counter deltas
-    across the batch — the raw material for the per-worker Perfetto
-    tracks in {!Export}. *)
-type stratum = {
-  s_node : int;
-  s_t0_us : int;  (** host wall clock, µs *)
-  s_t1_us : int;
-  s_size : int;  (** plan nodes in the stratum *)
-  s_workers : (int * int * int) array;
-      (** per worker: completed delta, stolen delta, queue length after *)
-}
-
 val create :
   ?cfg_epoch_us:int -> ?nodes:int -> ?replicas:int -> unit -> t
 (** [cfg_epoch_us] is the configured epoch duration the stretch ratio is
@@ -81,9 +64,6 @@ val create :
 
 val set_meta : t -> cfg_epoch_us:int -> nodes:int -> replicas:int -> unit
 val cfg_epoch_us : t -> int
-
-val wall_us : unit -> int
-(** Host wall clock in µs (the ledger's wall-time source). *)
 
 (* Epoch-row setters. *)
 
@@ -118,9 +98,6 @@ val note_plan :
   critical_path:int ->
   unit
 
-val note_pool :
-  t -> node:int -> epoch:int -> workers:(int * int * int) array -> unit
-
 val note_close :
   t ->
   node:int ->
@@ -145,26 +122,12 @@ val awaiting_first_commit : t -> bool
 
 val note_commit : t -> node:int -> t_us:int -> partitions:int list -> unit
 
-(* Real-runtime strata. *)
-
-val note_stratum :
-  t ->
-  node:int ->
-  t0_us:int ->
-  t1_us:int ->
-  size:int ->
-  workers:(int * int * int) array ->
-  unit
-
 (* Reads. *)
 
 val rows : t -> row list
 (** Sorted by (epoch, node). *)
 
 val events : t -> event list
-(** In emission order. *)
-
-val strata : t -> stratum list
 (** In emission order. *)
 
 val kind_name : event_kind -> string
@@ -174,7 +137,7 @@ val clear : t -> unit
 
 val to_lines : t -> string list
 (** Render to JSONL: one meta line, then epoch rows sorted by
-    (epoch, node), events, and strata.  Ship-lag lists collapse to
+    (epoch, node), then events.  Ship-lag lists collapse to
     p50/p99 here.  The lines append to TIMELINE.jsonl via
     [Harness.Report.write_timeline]; a meta line starts a new segment, so
     appended runs stay separable. *)

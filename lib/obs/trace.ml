@@ -21,7 +21,6 @@ type stage =
   | Fault_delay
   | Plan_build
   | Plan_evaluate
-  | Stratum_dispatch
   | Wal_ship
   | Promote
   | Fastpath_commit
@@ -49,7 +48,6 @@ let stage_name = function
   | Fault_delay -> "fault_delay"
   | Plan_build -> "plan_build"
   | Plan_evaluate -> "plan_evaluate"
-  | Stratum_dispatch -> "stratum_dispatch"
   | Wal_ship -> "wal_ship"
   | Promote -> "promote"
   | Fastpath_commit -> "fastpath_commit"
@@ -77,10 +75,9 @@ let stage_to_int = function
   | Fault_delay -> 19
   | Plan_build -> 20
   | Plan_evaluate -> 21
-  | Stratum_dispatch -> 22
-  | Wal_ship -> 23
-  | Promote -> 24
-  | Fastpath_commit -> 25
+  | Wal_ship -> 22
+  | Promote -> 23
+  | Fastpath_commit -> 24
 
 let stage_of_int = function
   | 0 -> Submit
@@ -105,22 +102,19 @@ let stage_of_int = function
   | 19 -> Fault_delay
   | 20 -> Plan_build
   | 21 -> Plan_evaluate
-  | 22 -> Stratum_dispatch
-  | 23 -> Wal_ship
-  | 24 -> Promote
-  | 25 -> Fastpath_commit
+  | 22 -> Wal_ship
+  | 23 -> Promote
+  | 24 -> Fastpath_commit
   | n -> invalid_arg (Printf.sprintf "Trace.stage_of_int: %d" n)
 
 (* Struct-of-arrays ring buffer: one slot is six ints across parallel
    arrays, written with plain stores.  [next] is the next write slot,
    [total] counts every emit so wrap-around is accounted for.
 
-   Domain discipline (--runtime real): plain stores mean the ring is
-   single-writer by contract.  Every emit site runs on the orchestrating
-   domain — the real runtime's workers never trace; stratum activity is
-   recorded by the orchestrator via [Stratum_dispatch] (batch sizes) and
-   the [runtime.pool.*] peak gauges — so no per-event synchronization is
-   needed, keeping the tracing-off fast path a single option test. *)
+   Plain stores mean the ring is single-writer by contract: every emit
+   site runs on the simulation's one domain, so no per-event
+   synchronization is needed, keeping the tracing-off fast path a single
+   option test.  Emitting from another domain would need a lock here. *)
 type t = {
   cap : int;
   sample : int;

@@ -1,15 +1,11 @@
-(* Domain discipline (--runtime real): none of this is synchronized —
-   counters are plain [int ref]s behind string-keyed hashtables, and
-   both sides (table resize on first touch, unguarded increments) would
-   race under concurrent domains.  Rather than pay atomics on every
-   simulated event, the real runtime keeps ALL metric mutation on the
-   orchestrating domain: worker domains carry their per-item tallies in
-   the stratum's task slots ([Compute_engine.par_task]) and the
-   orchestrator merges them into these counters after each stratum
-   barrier ([par_commit]) — the domain-local-shards-merged-at-epoch-close
-   variant with the shard inlined into the work item.  Resolve handles
+(* Domain discipline: none of this is synchronized — counters are plain
+   [int ref]s behind string-keyed hashtables, and both sides (table
+   resize on first touch, unguarded increments) would race under
+   concurrent domains.  The simulation runs on one domain, so rather
+   than pay atomics on every simulated event, resolve handles
    ([counter]/[histogram]/[gauge]) and call every recording function
-   from the simulation's domain only. *)
+   from the simulation's domain only.  Work moved to another domain
+   must carry its tallies back and record them there. *)
 type t = {
   counters : (string, int ref) Hashtbl.t;
   histograms : (string, Stats.Histogram.t) Hashtbl.t;

@@ -17,7 +17,6 @@ let () =
       ("cross-engine", Test_cross_engine.suite);
       ("gc", Test_gc.suite);
       ("components", Test_components.suite);
-      ("runtime", Test_runtime.suite);
       ("obs", Test_obs.suite);
       ("timeline", Test_timeline.suite);
       ("chaos", Test_chaos.suite);

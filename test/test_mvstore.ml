@@ -89,7 +89,7 @@ let test_key_interning () =
   ignore (Mvstore.Key.memo_int a ~stamp:s2 ~f);
   Alcotest.(check int) "new stamp recomputes" 2 !calls
 
-(* Regression for the intern mutex (--runtime real): 4 domains hammer the
+(* Regression for the intern mutex: 4 domains hammer the
    global intern table with a mix of shared names (every domain must get
    the same record — checked via stable ids) and per-domain fresh names
    (which force concurrent Hashtbl growth, the resize race that makes a
@@ -130,7 +130,7 @@ let test_intern_four_domain_hammer () =
         (Printf.sprintf "domain %d agrees with domain 0" d)
         ids0 ids)
     out;
-  (* interning is still coherent from the orchestrating domain *)
+  (* interning is still coherent from the main domain *)
   Array.iteri
     (fun i name ->
       Alcotest.(check int)

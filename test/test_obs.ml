@@ -8,7 +8,7 @@ let all_stages =
     Compute_start; Compute_done; Read_served; Sequenced; Scheduled;
     Locks_acquired; Exec_start; Exec_done; Lock_timeout; Prepared;
     Committed; Aborted; Restarted; Fault_drop; Fault_delay;
-    Plan_build; Plan_evaluate; Stratum_dispatch; Wal_ship; Promote;
+    Plan_build; Plan_evaluate; Wal_ship; Promote;
     Fastpath_commit ]
 
 let test_stage_codec () =
@@ -144,15 +144,16 @@ let test_chrome_export () =
 (* Chrome-trace well-formedness: parse the exported document with the
    timeline JSON reader and hold it to the trace_events contract — every
    event carries pid/tid/ts, duration ("B"/"E") events balance per tid,
-   and counter samples are monotone in ts per series.  Includes the
-   ledger-driven per-worker tracks, which are the only emitter of "B"/"E"
-   pairs. *)
+   transaction spans ("X") are exported, and counter samples are
+   monotone in ts per series. *)
 let test_chrome_well_formed () =
   let ctl = Obs.Ctl.create ~gauge_interval_us:1_000 () in
+  (* Two transactions: txn 0 runs submit..committed, txn 1 stops after
+     its epoch assignment; each spans more than one timestamp. *)
   List.iteri
     (fun i stage ->
-      Obs.Ctl.emit ctl ~txn:i ~stage ~node:(i mod 2) ~ts:(50 * (i + 1))
-        ~arg:2 ())
+      Obs.Ctl.emit ctl ~txn:(i / 4) ~stage ~node:(i mod 2)
+        ~ts:(50 * (i + 1)) ~arg:2 ())
     [ Obs.Trace.Submit; Epoch_assign; Functor_write; Committed; Submit;
       Epoch_assign ];
   let sim = Sim.Engine.create () in
@@ -165,13 +166,8 @@ let test_chrome_well_formed () =
       Sim.Metrics.set_gauge metrics "gauge.tick" (float_of_int !tick));
   Obs.Gauges.arm g ~sim ~for_us:5_000;
   Sim.Engine.run ~until:6_000 sim;
-  let ledger = Obs.Ledger.create () in
-  Obs.Ledger.note_stratum ledger ~node:0 ~t0_us:1_000 ~t1_us:1_400 ~size:8
-    ~workers:[| (5, 0, 0); (3, 2, 1) |];
-  Obs.Ledger.note_stratum ledger ~node:0 ~t0_us:1_500 ~t1_us:1_650 ~size:2
-    ~workers:[| (2, 0, 0); (0, 0, 0) |];
   let doc =
-    Obs.Export.chrome_trace ~engine:"aloha" ~shards:8 ~ledger
+    Obs.Export.chrome_trace ~engine:"aloha" ~shards:8
       ~trace:(Obs.Ctl.trace ctl)
       ~gauges:(Some g) ()
   in
@@ -185,7 +181,7 @@ let test_chrome_well_formed () =
   (* Per-tid B/E balance and per-counter-series ts monotonicity. *)
   let depth = Hashtbl.create 8 in
   let last_counter_ts = Hashtbl.create 8 in
-  let b_seen = ref 0 and steal_seen = ref 0 in
+  let spans_seen = ref 0 in
   List.iter
     (fun ev ->
       let ph = to_str (member "ph" ev) ~default:"?" in
@@ -199,8 +195,8 @@ let test_chrome_well_formed () =
         Alcotest.(check bool) "every non-counter event has a tid" true
           (tid > min_int);
       match ph with
+      | "X" -> incr spans_seen
       | "B" ->
-          incr b_seen;
           Hashtbl.replace depth (pid, tid)
             (1
             + (match Hashtbl.find_opt depth (pid, tid) with
@@ -223,9 +219,6 @@ let test_chrome_well_formed () =
                 true (ts >= prev)
           | None -> ());
           Hashtbl.replace last_counter_ts name ts
-      | "i" ->
-          if to_str (member "name" ev) ~default:"" = "steal" then
-            incr steal_seen
       | _ -> ())
     events;
   Hashtbl.iter
@@ -234,21 +227,9 @@ let test_chrome_well_formed () =
         (Printf.sprintf "B/E balanced on pid %d tid %d" pid tid)
         0 d)
     depth;
-  Alcotest.(check bool) "worker spans exported" true (!b_seen >= 3);
-  Alcotest.(check int) "steal marker exported" 1 !steal_seen;
+  Alcotest.(check bool) "transaction spans exported" true (!spans_seen >= 1);
   Alcotest.(check bool) "counter series sampled" true
-    (Hashtbl.length last_counter_ts > 0);
-  (* Worker lanes sit above the shard lanes and are named. *)
-  let has needle =
-    let nl = String.length needle and jl = String.length doc in
-    let rec go i =
-      i + nl <= jl && (String.sub doc i nl = needle || go (i + 1))
-    in
-    go 0
-  in
-  Alcotest.(check bool) "worker thread names" true
-    (has "\"name\":\"worker 1\"");
-  Alcotest.(check bool) "worker tid above shards" true (has "\"tid\":9")
+    (Hashtbl.length last_counter_ts > 0)
 
 let test_epoch_rollup () =
   let t = Obs.Trace.create () in
@@ -283,7 +264,7 @@ let test_overhead_neutral () =
         ?obs ~seed:23 ()
     in
     Harness.Driver.run built
-      ~arrival:(Harness.Arrivals.Closed { clients_per_fe = 100 })
+      ~arrival:(Kernel.Arrivals.Closed { clients_per_fe = 100 })
       ?obs ~warmup_us:30_000 ~measure_us:40_000 ~seed:23 ()
   in
   let bare = point None in
@@ -310,7 +291,7 @@ let test_telemetry_file () =
   in
   let result =
     Harness.Driver.run built
-      ~arrival:(Harness.Arrivals.Closed { clients_per_fe = 50 })
+      ~arrival:(Kernel.Arrivals.Closed { clients_per_fe = 50 })
       ~obs:ctl ~warmup_us:20_000 ~measure_us:20_000 ()
   in
   let path = Filename.temp_file "telemetry" ".json" in

@@ -48,11 +48,8 @@ let test_ledger_roundtrip () =
     ~live_followers:1 ~degraded:false;
   Obs.Ledger.note_plan l ~node:0 ~epoch:1 ~nodes:4 ~edges:3 ~strata:2
     ~critical_path:1;
-  Obs.Ledger.note_pool l ~node:0 ~epoch:1 ~workers:[| (3, 1, 0); (2, 0, 1) |];
   Obs.Ledger.note_close l ~node:0 ~epoch:1 ~t_us:11_000 ~watermark:42
     ~watermark_lag_us:500;
-  Obs.Ledger.note_stratum l ~node:0 ~t0_us:100 ~t1_us:250 ~size:4
-    ~workers:[| (3, 1, 0); (1, 0, 0) |];
   (* Crash -> detect -> promote -> first commit on the watched partition. *)
   Obs.Ledger.note_event l ~kind:Obs.Ledger.Crash ~node:1 ~t_us:2_000 ();
   Obs.Ledger.note_event l ~kind:Obs.Ledger.Detect ~node:1 ~t_us:5_000 ();
@@ -109,9 +106,7 @@ let test_ledger_roundtrip () =
       Alcotest.(check bool) "ship p50" true (has "\"ship_p50_us\":120");
       Alcotest.(check bool) "ship p99" true (has "\"ship_p99_us\":200");
       Alcotest.(check bool) "gate wait" true (has "\"gate_wait_us\":45");
-      Alcotest.(check bool) "plan row" true (has "\"strata\":2");
-      Alcotest.(check bool) "pool row" true (has "\"stolen\":1");
-      Alcotest.(check bool) "stratum line" true (has "\"type\":\"stratum\""))
+      Alcotest.(check bool) "plan row" true (has "\"strata\":2"))
   | segs -> Alcotest.failf "expected 1 segment, got %d" (List.length segs)
 
 (* ---- fabricated violations --------------------------------------------- *)
@@ -145,6 +140,20 @@ let test_doctor_violations () =
       Alcotest.(check (list string)) "monotone is clean" []
         (Obs.Analyze.check seg)
   | _ -> Alcotest.fail "segment shape");
+  (* A line of a record type the ledger does not write is malformed
+     input, not something to skip; ci/check_bench_regression.py
+     --validate-timeline rejects the same line (make obs-smoke). *)
+  (match
+     Obs.Analyze.parse_lines
+       (fabricated ~watermark2:900
+       @ [ "{\"type\":\"stratum\",\"node\":0,\"t0_us\":100,\
+            \"t1_us\":250,\"size\":4,\"workers\":[]}" ])
+   with
+  | _ -> Alcotest.fail "stratum line accepted"
+  | exception Failure msg ->
+      Alcotest.(check bool) "names the unknown record type" true
+        (String.length msg > 0
+        && String.ends_with ~suffix:"unknown record type \"stratum\"" msg));
   (* A crash between the closes excuses the reset. *)
   match
     Obs.Analyze.parse_lines
@@ -226,7 +235,7 @@ let test_ledger_neutral () =
         ?obs ~seed:31 ()
     in
     Harness.Driver.run built
-      ~arrival:(Harness.Arrivals.Closed { clients_per_fe = 100 })
+      ~arrival:(Kernel.Arrivals.Closed { clients_per_fe = 100 })
       ?obs ~warmup_us:30_000 ~measure_us:40_000 ~seed:31 ()
   in
   let bare = point None in
