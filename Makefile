@@ -1,4 +1,4 @@
-.PHONY: all build test fmt check clean bench bench-smoke bench-guard chaos chaos-smoke replication replication-smoke availability fastpath fastpath-smoke obs-smoke perfbench-smoke
+.PHONY: all build test fmt check clean bench bench-smoke bench-guard chaos chaos-smoke replication replication-smoke availability fastpath fastpath-smoke obs-smoke perfbench-smoke sim-fingerprint
 
 all: build
 
@@ -123,6 +123,16 @@ obs-smoke:
 # prints are informational here; nothing compares them.
 perfbench-smoke:
 	python3 perfbench/run.py --workload all --seed 1 --seconds 5 --trace 0
+
+# The simulated outcome of one `run` point per engine and compute mode,
+# host-time lines removed, must match ci/sim_fingerprint.txt byte for
+# byte: the gate for changes that claim an identical simulated timeline.
+# A change that moves the simulation on purpose regenerates the file with
+#   ci/sim_fingerprint.sh > ci/sim_fingerprint.txt
+# and says why.
+sim-fingerprint:
+	dune build bin/alohadb_cli.exe
+	sh ci/sim_fingerprint.sh | diff -u ci/sim_fingerprint.txt -
 
 # Check dune-file formatting without promoting (ocamlformat is not a
 # dependency; OCaml sources are exempt via dune-project).

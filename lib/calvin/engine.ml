@@ -38,7 +38,8 @@ let n_servers cl = Cluster.n_servers cl.c
 let submit cl ~fe txn ~k =
   incr cl.seq;
   Cluster.submit cl.c ~fe
-    (Ctxn.of_txn ~version:!(cl.seq) txn)
+    (Ctxn.of_txn ~partition_of:(Cluster.partition_of cl.c) ~version:!(cl.seq)
+       txn)
     ~k:(fun () -> k Kernel.Txn.Ok)
 
 let read_committed cl key =

@@ -23,9 +23,12 @@ val create : on_ready:(int -> unit) -> t
     from inside another transaction's [release]. *)
 
 val request : t -> uid:int -> keys:(string * mode) list -> unit
-(** Enqueue all lock requests for a transaction.  Duplicate keys are
-    coalesced (write mode wins).  A transaction with an empty key list is
-    ready immediately. *)
+(** Enqueue all lock requests for a transaction, in key-name order.
+    Duplicate keys are coalesced (write mode wins); a strictly name-sorted
+    list (e.g. {!Ctxn.locks}) is taken as it is.  The
+    transaction keeps a handle on each key's queue, so {!release} does no
+    key lookups.  A transaction with an empty key list is ready
+    immediately. *)
 
 val release : t -> uid:int -> unit
 (** Drop all locks of [uid] (granted or still queued) and promote

@@ -2,7 +2,7 @@ module Value = Functor_cc.Value
 
 type inflight = {
   routed : Message.routed;
-  participants : int list;
+  shard : Ctxn.shard;  (* this server's part of the transaction *)
   mutable remote_pending : int;
   mutable local_reads_done : bool;
   mutable gathered : (string * Value.t option) list;
@@ -35,7 +35,7 @@ type t = {
   h_stage_lockread : Sim.Stats.Histogram.t;
   h_stage_proc : Sim.Stats.Histogram.t;
   h_lat_total : Sim.Stats.Histogram.t;
-  store : (string, Value.t) Hashtbl.t;
+  store : Value.t Strtbl.t;
   lm_pool : Sim.Worker_pool.t;  (* the single-threaded lock manager *)
   exec_pool : Sim.Worker_pool.t;
   mutable lm : Lock_manager.t;
@@ -54,7 +54,7 @@ type t = {
   dones : (int, done_track) Hashtbl.t;  (* origin-side completion *)
 }
 
-let read_local t key = Hashtbl.find_opt t.store key
+let read_local t key = Strtbl.find_opt t.store key
 
 (* Lifecycle trace emit: one option test when tracing is off. *)
 let emit t ~txn ~stage ?(ts = -1) ?arg () =
@@ -67,12 +67,10 @@ let emit t ~txn ~stage ?(ts = -1) ?arg () =
 let load_initial t ~key value =
   if t.partition_of key <> t.node_id then
     invalid_arg "Calvin.Server.load_initial: key not owned";
-  Hashtbl.replace t.store key value
+  Strtbl.replace t.store key value
 
 let lock_queue_depth t = Sim.Worker_pool.queue_length t.lm_pool
 let inflight_count t = Hashtbl.length t.inflight
-
-let local_keys t keys = List.filter (fun k -> t.partition_of k = t.node_id) keys
 
 (* ---- executor ---------------------------------------------------------- *)
 
@@ -83,10 +81,7 @@ let send_done t (fl : inflight) =
 
 (* Locks released (through the lock-manager thread) after execution. *)
 let release_locks t (fl : inflight) =
-  let txn = fl.routed.Message.txn in
-  let nlocal =
-    List.length (local_keys t (txn.Ctxn.read_set @ txn.Ctxn.write_set))
-  in
+  let nlocal = Ctxn.lock_count fl.shard in
   let cost = max t.config.Config.cost_lock_us (nlocal * t.config.Config.cost_lock_us) in
   Sim.Worker_pool.submit t.lm_pool ~cost (fun () ->
       Lock_manager.release t.lm ~uid:fl.routed.Message.uid;
@@ -101,9 +96,7 @@ let maybe_execute t (fl : inflight) =
     emit t ~txn:fl.routed.Message.uid ~stage:Obs.Trace.Exec_start ();
     Sim.Stats.Histogram.add t.h_stage_lockread (exec_start - fl.sched_start);
     let txn = fl.routed.Message.txn in
-    let local_writes_estimate =
-      List.length (local_keys t txn.Ctxn.write_set)
-    in
+    let local_writes_estimate = List.length fl.shard.Ctxn.writes in
     let cost =
       t.config.Config.cost_exec_us
       + (local_writes_estimate * t.config.Config.cost_write_us)
@@ -112,7 +105,7 @@ let maybe_execute t (fl : inflight) =
         List.iter
           (fun (key, v) ->
             if t.partition_of key = t.node_id then
-              Hashtbl.replace t.store key v)
+              Strtbl.replace t.store key v)
           (Ctxn.execute t.registry txn ~reads:fl.gathered);
         Sim.Stats.Histogram.add t.h_stage_proc
           (Sim.Engine.now t.sim - exec_start);
@@ -129,35 +122,38 @@ let on_locks_ready t uid =
   | None -> ()
   | Some fl ->
       emit t ~txn:uid ~stage:Obs.Trace.Locks_acquired ();
-      let txn = fl.routed.Message.txn in
-      let locals = local_keys t txn.Ctxn.read_set in
+      let locals = fl.shard.Ctxn.reads in
       let cost =
         max t.config.Config.cost_read_us
           (List.length locals * t.config.Config.cost_read_us)
       in
       Sim.Worker_pool.submit t.exec_pool ~cost (fun () ->
           let values =
-            List.map (fun key -> (key, Hashtbl.find_opt t.store key)) locals
+            List.map (fun key -> (key, Strtbl.find_opt t.store key)) locals
           in
           fl.gathered <- values @ fl.gathered;
           fl.local_reads_done <- true;
           List.iter
-            (fun p ->
-              if p <> t.node_id then
+            (fun (s : Ctxn.shard) ->
+              if s.partition <> t.node_id then
                 Net.Rpc.send t.rpc ~src:t.address
-                  ~dst:(t.addr_of_partition p)
+                  ~dst:(t.addr_of_partition s.partition)
                   (Message.Reads { uid; from = t.node_id; values }))
-            fl.participants;
+            fl.routed.Message.txn.Ctxn.shards;
           maybe_execute t fl)
 
 (* ---- scheduler --------------------------------------------------------- *)
 
 let admit_txn t (routed : Message.routed) =
   let txn = routed.Message.txn in
-  let participants = Ctxn.participants ~partition_of:t.partition_of txn in
+  let shard =
+    match Ctxn.shard txn t.node_id with
+    | Some s -> s
+    | None -> invalid_arg "Calvin.Server: batch routed to a non-participant"
+  in
   let fl =
-    { routed; participants;
-      remote_pending = List.length participants - 1;
+    { routed; shard;
+      remote_pending = List.length txn.Ctxn.shards - 1;
       local_reads_done = false; gathered = []; exec_started = false;
       sched_start = 0 }
   in
@@ -172,22 +168,17 @@ let admit_txn t (routed : Message.routed) =
           fl.remote_pending <- fl.remote_pending - 1)
         !buffered
   | None -> ());
-  let lock_keys =
-    List.map (fun k -> (k, Lock_manager.Read))
-      (local_keys t txn.Ctxn.read_set)
-    @ List.map (fun k -> (k, Lock_manager.Write))
-        (local_keys t txn.Ctxn.write_set)
-  in
   let cost =
     max t.config.Config.cost_lock_us
-      (List.length lock_keys * t.config.Config.cost_lock_us)
+      (Ctxn.lock_count shard * t.config.Config.cost_lock_us)
   in
   Sim.Worker_pool.submit t.lm_pool ~cost (fun () ->
       fl.sched_start <- Sim.Engine.now t.sim;
       emit t ~txn:routed.Message.uid ~stage:Obs.Trace.Scheduled ();
       Sim.Stats.Histogram.add t.h_stage_seq
         (fl.sched_start - routed.Message.submitted_at);
-      Lock_manager.request t.lm ~uid:routed.Message.uid ~keys:lock_keys)
+      Lock_manager.request t.lm ~uid:routed.Message.uid
+        ~keys:(Ctxn.locks shard))
 
 let rec try_admit_epochs t =
   match Hashtbl.find_opt t.batches t.next_epoch with
@@ -240,34 +231,30 @@ let ship_epoch t =
         ~ts:r.Message.submitted_at ();
       emit t ~txn:r.Message.uid ~stage:Obs.Trace.Sequenced ~arg:epoch ())
     routed;
-  (* Participant sets are computed once per transaction and reused for
-     completion tracking and per-destination routing (previously they were
-     recomputed for every destination server). *)
-  let routed_parts =
-    List.map
-      (fun (r : Message.routed) ->
-        (r, Ctxn.participants ~partition_of:t.partition_of r.Message.txn))
-      routed
-  in
   (* Register origin-side completion tracking. *)
   List.iter2
-    (fun ((r : Message.routed), participants) (_, _, k) ->
+    (fun (r : Message.routed) (_, _, k) ->
       Hashtbl.replace t.dones r.Message.uid
         { submitted_at = r.Message.submitted_at;
-          awaiting = List.length participants;
+          awaiting = List.length r.Message.txn.Ctxn.shards;
           on_complete = k })
-    routed_parts txns;
-  (* One batch message to every server (empty ones keep the barrier). *)
-  for dst = 0 to t.n_servers - 1 do
-    let for_dst =
-      List.filter_map
-        (fun ((r : Message.routed), participants) ->
-          if List.exists (fun p -> p = dst) participants then Some r else None)
-        routed_parts
-    in
-    Net.Rpc.send t.rpc ~src:t.address ~dst:(t.addr_of_partition dst)
-      (Message.Batch { epoch; seq_id = t.node_id; txns = for_dst })
-  done;
+    routed txns;
+  (* Route each transaction to its shards' partitions, keeping the
+     sequencer order, then send one batch message to every server (empty
+     ones keep the barrier). *)
+  let for_dst = Array.make t.n_servers [] in
+  List.iter
+    (fun (r : Message.routed) ->
+      List.iter
+        (fun (s : Ctxn.shard) ->
+          for_dst.(s.partition) <- r :: for_dst.(s.partition))
+        r.Message.txn.Ctxn.shards)
+    (List.rev routed);
+  Array.iteri
+    (fun dst txns ->
+      Net.Rpc.send t.rpc ~src:t.address ~dst:(t.addr_of_partition dst)
+        (Message.Batch { epoch; seq_id = t.node_id; txns }))
+    for_dst;
   (* Sequencing work is charged per shipped transaction. *)
   if routed <> [] then
     Sim.Worker_pool.submit t.exec_pool
@@ -321,7 +308,7 @@ let create ~sim ~rpc ~addr ~node_id ~n_servers ~partition_of
       h_stage_lockread = h "calvin.stage_lockread_us";
       h_stage_proc = h "calvin.stage_proc_us";
       h_lat_total = h "calvin.lat_total_us";
-      store = Hashtbl.create 65536;
+      store = Strtbl.create 65536;
       lm_pool = Sim.Worker_pool.create sim ~workers:1;
       exec_pool = Sim.Worker_pool.create sim ~workers:executors;
       lm = Lock_manager.create ~on_ready:(fun _ -> ());  (* rewired below *)

@@ -37,7 +37,8 @@ let submit cl ~fe txn ~k =
   (* The 2PL coordinator's callback fires on commit and on give-up alike;
      give-ups are reported through the abort metric keys. *)
   Cluster.submit cl.c ~fe
-    (Calvin.Ctxn.of_txn ~version:!(cl.seq) txn)
+    (Calvin.Ctxn.of_txn ~partition_of:(Cluster.partition_of cl.c)
+       ~version:!(cl.seq) txn)
     ~k:(fun () -> k Kernel.Txn.Ok)
 
 let read_committed cl key =

@@ -1,11 +1,7 @@
 type txn_ref = int
 
 type req =
-  | Lock_and_read of {
-      uid : txn_ref;
-      reads : string list;
-      writes : string list;
-    }
+  | Lock_and_read of { uid : txn_ref; shard : Calvin.Ctxn.shard }
   | Prepare of { uid : txn_ref; writes : (string * Functor_cc.Value.t) list }
   | Commit of { uid : txn_ref }
   | Release of { uid : txn_ref }

@@ -15,8 +15,7 @@ type txn_ref = int
 type req =
   | Lock_and_read of {
       uid : txn_ref;
-      reads : string list;  (** local read-set keys *)
-      writes : string list;  (** local write-set keys *)
+      shard : Calvin.Ctxn.shard;  (** the participant's local fragment *)
     }
   | Prepare of { uid : txn_ref; writes : (string * Functor_cc.Value.t) list }
   | Commit of { uid : txn_ref }

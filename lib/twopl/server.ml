@@ -73,19 +73,15 @@ let on_locks_granted t uid =
             w.reply (Message.Locked { values }))
       end
 
-let do_lock_and_read t ~uid ~reads ~writes reply =
-  let keys =
-    List.map (fun k -> (k, LM.Read)) reads
-    @ List.map (fun k -> (k, LM.Write)) writes
-  in
-  let w = { reply; reads; settled = false } in
+let do_lock_and_read t ~uid ~(shard : Calvin.Ctxn.shard) reply =
+  let w = { reply; reads = shard.reads; settled = false } in
   Hashtbl.replace t.waits uid w;
   let cost =
     max t.config.Config.cost_lock_us
-      (List.length keys * t.config.Config.cost_lock_us)
+      (Calvin.Ctxn.lock_count shard * t.config.Config.cost_lock_us)
   in
   Sim.Worker_pool.submit t.pool ~cost (fun () ->
-      LM.request t.lm ~uid ~keys;
+      LM.request t.lm ~uid ~keys:(Calvin.Ctxn.locks shard);
       (* Deadlock resolution by timeout: if the locks are not all granted
          in time, give up and release whatever queued. *)
       if not w.settled then
@@ -127,30 +123,12 @@ let do_release t ~uid reply =
 
 (* ---- coordinator side --------------------------------------------------- *)
 
-let group_keys t keys =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun k ->
-      let p = t.partition_of k in
-      match Hashtbl.find_opt tbl p with
-      | Some r -> r := k :: !r
-      | None -> Hashtbl.add tbl p (ref [ k ]))
-    keys;
-  tbl
-
-let participants_of t (txn : Calvin.Ctxn.t) =
-  Calvin.Ctxn.participants ~partition_of:t.partition_of txn
-
 let rec attempt t txn ~tries ~submitted_at k =
   let uid = t.next_txn in
   t.next_txn <- t.next_txn + 1024;  (* keep the node id in the low bits *)
   emit t ~txn:uid ~stage:Obs.Trace.Submit ~arg:tries ();
-  let parts = participants_of t txn in
-  let reads_by = group_keys t txn.Calvin.Ctxn.read_set in
-  let writes_by = group_keys t txn.Calvin.Ctxn.write_set in
-  let keys_of tbl p =
-    match Hashtbl.find_opt tbl p with Some r -> !r | None -> []
-  in
+  let shards = txn.Calvin.Ctxn.shards in
+  let parts = List.map (fun (s : Calvin.Ctxn.shard) -> s.partition) shards in
   let awaiting = ref (List.length parts) in
   let failed = ref false in
   let granted = ref [] in
@@ -225,10 +203,10 @@ let rec attempt t txn ~tries ~submitted_at k =
           parts)
   in
   List.iter
-    (fun p ->
+    (fun (shard : Calvin.Ctxn.shard) ->
+      let p = shard.partition in
       Net.Rpc.call t.rpc ~src:t.address ~dst:(t.addr_of_partition p)
-        (Message.Lock_and_read
-           { uid; reads = keys_of reads_by p; writes = keys_of writes_by p })
+        (Message.Lock_and_read { uid; shard })
         (fun resp ->
           decr awaiting;
           (match resp with
@@ -243,7 +221,7 @@ let rec attempt t txn ~tries ~submitted_at k =
               emit t ~txn:uid ~stage:Obs.Trace.Locks_acquired ();
               proceed_commit ()
             end))
-    parts
+    shards
 
 let submit ?(k = fun () -> ()) t txn =
   incr t.m_submitted;
@@ -274,9 +252,9 @@ let create ~sim ~rpc ~addr ~node_id ~partition_of ~addr_of_partition
   t.lm <- LM.create ~on_ready:(fun uid -> on_locks_granted t uid);
   Net.Rpc.serve rpc addr (fun ~src:_ req ~reply ->
       match req with
-      | Message.Lock_and_read { uid; reads; writes } ->
+      | Message.Lock_and_read { uid; shard } ->
           Sim.Worker_pool.submit t.pool ~cost:config.Config.cost_msg_us
-            (fun () -> do_lock_and_read t ~uid ~reads ~writes reply)
+            (fun () -> do_lock_and_read t ~uid ~shard reply)
       | Message.Prepare { uid; writes } ->
           let cost =
             config.Config.cost_msg_us

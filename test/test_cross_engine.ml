@@ -103,19 +103,98 @@ let test_compute_modes_agree () =
         r0.Kernel.Result.throughput_tps r.Kernel.Result.throughput_tps)
     runs
 
+(* ---- Calvin vs 2PL on TPC-C ---------------------------------------------- *)
+
+(* A scripted NewOrder history on 2 servers, every transaction touching a
+   remote warehouse's stock, so shards span both partitions and carry
+   read sets and handlers.  Arrivals are spaced so that each transaction
+   finishes before the next one starts: both engines then apply the same
+   serial order (stock updates do not commute), and 2PL never waits long
+   enough to time out.  Every district, stock and order key must end with
+   the same value under both engines. *)
+let test_tpcc_calvin_twopl_agree () =
+  let n = 2 and count = 40 in
+  let cfg =
+    { (Workload.Tpcc.default_cfg ~n_servers:n ~warehouses_per_host:1) with
+      districts = 2; customers = 10; items = 20 }
+  in
+  let run (Kernel.Intf.Pack (module E)) =
+    let c = E.create (Kernel.Params.make ~n_servers:n ()) in
+    Workload.Tpcc.Neworder.register cfg ~register:(E.register c);
+    Workload.Tpcc.Neworder.load cfg ~n_servers:n ~put:(E.load c);
+    E.start c;
+    let arrivals = List.init count (fun i -> (1_000 + (i * 150_000), i mod n)) in
+    let r =
+      Kernel.Run.run
+        (module E)
+        ~cluster:c
+        ~gen:(Workload.Tpcc.Neworder.generator cfg ~n_servers:n ~seed:5)
+        ~arrival:(Kernel.Arrivals.Scripted { arrivals })
+        ~warmup_us:500 ~measure_us:(count * 150_000) ()
+    in
+    Alcotest.(check int) (E.name ^ " committed all") count r.Kernel.Result.committed;
+    Alcotest.(check int) (E.name ^ " aborted none") 0 (Kernel.Result.abort_count r);
+    Alcotest.(check int) (E.name ^ " no lock timeouts") 0
+      (Option.value ~default:0
+         (List.assoc_opt "lock timeouts" r.Kernel.Result.counters));
+    let keys =
+      List.concat_map
+        (fun w ->
+          List.init cfg.items (fun i -> Workload.Tpcc.stock_key ~w i)
+          @ List.concat_map
+              (fun d ->
+                Workload.Tpcc.dnoid_key ~w ~d
+                :: List.concat_map
+                     (fun o ->
+                       Workload.Tpcc.order_key ~w ~d ~o
+                       :: Workload.Tpcc.neworder_key ~w ~d ~o
+                       :: List.init cfg.ol_max (fun n ->
+                              Workload.Tpcc.orderline_key ~w ~d ~o ~n))
+                     (List.init (count + 1) Fun.id))
+              (List.init cfg.districts Fun.id))
+        (List.init cfg.warehouses Fun.id)
+    in
+    let state = List.map (fun k -> (k, E.read_committed c k)) keys in
+    E.stop c;
+    state
+  in
+  let calvin = run (Kernel.Intf.Pack (module Calvin.Engine)) in
+  let twopl = run (Kernel.Intf.Pack (module Twopl.Engine)) in
+  let written = List.filter (fun (_, v) -> Option.is_some v) calvin in
+  Alcotest.(check bool) "orders were written" true
+    (List.length written > List.length calvin / 10);
+  List.iter2
+    (fun (k, a) (_, b) ->
+      if not (Option.equal Value.equal a b) then
+        Alcotest.failf "%s: calvin and 2pl differ" k)
+    calvin twopl
+
 (* ---- model-based lock manager check -------------------------------------- *)
 
 (* Random request/release sequences; invariants checked after each step:
    no write lock shared, readers never coexist with a writer, and every
-   transaction eventually becomes ready once conflicts drain. *)
+   transaction eventually becomes ready once conflicts drain.  A request
+   names 1-4 keys, either raw (unsorted, with duplicates: the coalescing
+   path) or strictly name-sorted (the lock manager's fast path). *)
 let prop_lock_manager_safety =
   let module LM = Calvin.Lock_manager in
+  let coalesced keys =
+    List.sort_uniq compare (List.map fst keys)
+    |> List.map (fun k ->
+           (k, if List.mem (k, LM.Write) keys then LM.Write else LM.Read))
+  in
   let step_gen =
     QCheck2.Gen.(
       let* uid = int_range 1 8 in
-      let* kind = int_range 0 2 in
-      let* key = map (Printf.sprintf "k%d") (int_range 0 3) in
-      return (uid, kind, key))
+      let* release = int_range 0 2 in
+      let* raw =
+        list_size (int_range 1 4)
+          (pair
+             (map (Printf.sprintf "k%d") (int_range 0 3))
+             (map (fun w -> if w then LM.Write else LM.Read) bool))
+      in
+      let* sorted = bool in
+      return (uid, release = 0, if sorted then coalesced raw else raw))
   in
   QCheck2.Test.make ~name:"lock manager safety + liveness" ~count:300
     QCheck2.Gen.(list_size (int_range 1 60) step_gen)
@@ -131,8 +210,7 @@ let prop_lock_manager_safety =
           List.filter
             (fun uid ->
               match Hashtbl.find_opt live uid with
-              | Some keys -> List.mem_assoc key keys
-                             && List.assoc key keys = LM.Write
+              | Some keys -> List.mem (key, LM.Write) keys
               | None -> false)
             holders
         in
@@ -140,24 +218,18 @@ let prop_lock_manager_safety =
         if writers <> [] && List.length holders > 1 then ok := false
       in
       List.iter
-        (fun (uid, kind, key) ->
-          match kind with
-          | 0 when not (Hashtbl.mem live uid) ->
-              let keys = [ (key, LM.Read) ] in
+        (fun (uid, release, keys) ->
+          match Hashtbl.find_opt live uid with
+          | None when not release ->
               Hashtbl.replace live uid keys;
               LM.request lm ~uid ~keys;
-              check_key key
-          | 1 when not (Hashtbl.mem live uid) ->
-              let keys = [ (key, LM.Write) ] in
-              Hashtbl.replace live uid keys;
-              LM.request lm ~uid ~keys;
-              check_key key
-          | 2 when Hashtbl.mem live uid ->
+              List.iter (fun (key, _) -> check_key key) keys
+          | Some held when release ->
               Hashtbl.remove live uid;
               Hashtbl.remove ready uid;
               LM.release lm ~uid;
-              check_key key
-          | _ -> ())
+              List.iter (fun (key, _) -> check_key key) held
+          | Some _ | None -> ())
         steps;
       (* liveness: release everything still live; everyone must have become
          ready at some point before or during drain *)
@@ -167,4 +239,6 @@ let prop_lock_manager_safety =
 let suite =
   [ Alcotest.test_case "three engines agree" `Slow test_three_engines_agree;
     Alcotest.test_case "compute modes agree" `Slow test_compute_modes_agree;
+    Alcotest.test_case "calvin = 2pl on tpcc neworder" `Slow
+      test_tpcc_calvin_twopl_agree;
     QCheck_alcotest.to_alcotest prop_lock_manager_safety ]

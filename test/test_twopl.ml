@@ -6,8 +6,8 @@ module Cluster = Twopl.Cluster
 let mk ?(n = 2) () =
   Cluster.create { Cluster.default_options with n_servers = n }
 
-let incr_txn keys =
-  Calvin.Ctxn.of_txn ~version:0
+let incr_txn c keys =
+  Calvin.Ctxn.of_txn ~partition_of:(Cluster.partition_of c) ~version:0
     (Kernel.Txn.make (List.map (fun k -> (k, Kernel.Txn.Add 1)) keys))
 
 let key p i = Printf.sprintf "t:%d:%d" p i
@@ -19,7 +19,7 @@ let test_single_partition () =
   let c = mk () in
   Cluster.load c ~key:(key 0 0) (Value.int 10);
   let done_ = ref false in
-  Cluster.submit c ~fe:0 (incr_txn [ key 0 0 ]) ~k:(fun () -> done_ := true);
+  Cluster.submit c ~fe:0 (incr_txn c [ key 0 0 ]) ~k:(fun () -> done_ := true);
   Cluster.run_for c 100_000;
   Alcotest.(check bool) "completed" true !done_;
   Alcotest.(check int) "incremented" 11
@@ -31,7 +31,7 @@ let test_distributed_txn () =
   let c = mk () in
   Cluster.load c ~key:(key 0 0) (Value.int 0);
   Cluster.load c ~key:(key 1 0) (Value.int 100);
-  Cluster.submit c ~fe:0 (incr_txn [ key 0 0; key 1 0 ]);
+  Cluster.submit c ~fe:0 (incr_txn c [ key 0 0; key 1 0 ]);
   Cluster.run_for c 200_000;
   Alcotest.(check int) "k0" 1 (Value.to_int (Option.get (read c (key 0 0))));
   Alcotest.(check int) "k1" 101 (Value.to_int (Option.get (read c (key 1 0))))
@@ -44,7 +44,7 @@ let test_conflicting_increments () =
   let completed = ref 0 in
   for i = 0 to 39 do
     Sim.Engine.schedule sim ~at:(500 + (i * 300)) (fun () ->
-        Cluster.submit c ~fe:(i mod 2) (incr_txn [ key 0 7 ])
+        Cluster.submit c ~fe:(i mod 2) (incr_txn c [ key 0 7 ])
           ~k:(fun () -> incr completed))
   done;
   Sim.Engine.run ~until:2_000_000 sim;
@@ -65,7 +65,7 @@ let test_deadlock_resolution () =
   for i = 0 to 19 do
     Sim.Engine.schedule sim ~at:(500 + (i * 50)) (fun () ->
         Cluster.submit c ~fe:(i mod 2)
-          (incr_txn [ key 0 1; key 1 1 ])
+          (incr_txn c [ key 0 1; key 1 1 ])
           ~k:(fun () -> incr completed))
   done;
   Sim.Engine.run ~until:5_000_000 sim;
@@ -91,7 +91,7 @@ let test_contention_hurts_throughput () =
     Sim.Engine.schedule sim ~at:(500 + (i * 120)) (fun () ->
         (* all transactions touch hot key (0,0) plus a random cold key *)
         let cold = key (1 + Sim.Rng.int rng 3) (Sim.Rng.int rng 100) in
-        Cluster.submit c ~fe:(i mod 4) (incr_txn [ key 0 0; cold ]))
+        Cluster.submit c ~fe:(i mod 4) (incr_txn c [ key 0 0; cold ]))
   done;
   Sim.Engine.run ~until:3_000_000 sim;
   let m = Cluster.metrics c in
