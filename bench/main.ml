@@ -132,7 +132,7 @@ let micro () =
      [exec] routes through the worker pool, so every dispatch job runs
      before any evaluation finalises — the worst case for the pool
      mode's watermark-to-version rescan (quadratic in chain depth) and
-     exactly the regime the planner's prepared handles avoid. *)
+     exactly the regime the planner's per-record evaluation avoids. *)
   let run_epoch ~planned =
     let sim = Sim.Engine.create () in
     let pool = Sim.Worker_pool.create sim ~workers:4 in
@@ -166,14 +166,15 @@ let micro () =
     for v = 1 to 128 do
       Array.iter
         (fun key ->
-          ignore
-            (Functor_cc.Compute_engine.install e ~key ~version:v ~lo:0
-               ~hi:max_int
-               (Functor_cc.Funct.mk_pending ~ftype:Functor_cc.Ftype.Add
-                  ~farg:(Functor_cc.Funct.farg_args
-                           [ Functor_cc.Value.int 1 ])
-                  ~txn_id:v ~coordinator:0));
-          Functor_cc.Processor.buffer proc ~epoch:1 ~key ~version:v)
+          match
+            Functor_cc.Compute_engine.install e ~key ~version:v ~lo:0
+              ~hi:max_int
+              (Functor_cc.Funct.mk_pending ~ftype:Functor_cc.Ftype.Add
+                 ~farg:(Functor_cc.Funct.farg_args [ Functor_cc.Value.int 1 ])
+                 ~txn_id:v ~coordinator:0)
+          with
+          | Ok h -> Functor_cc.Processor.buffer proc ~epoch:1 h
+          | Error _ -> assert false)
         keys
     done;
     if planned then begin

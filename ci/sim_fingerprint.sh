@@ -16,9 +16,14 @@ point() {
 }
 
 # ALOHA windows are short (every point commits thousands of txns); the
-# lock-based engines need longer ones to commit at all on TPC-C.
+# lock-based engines need longer ones to commit at all on TPC-C.  Besides
+# the three compute modes, ALOHA runs the fast lane (its epoch-close
+# merges) and a k=2 replicated install path.
 point -s aloha -w ycsb --compute pool --warmup-ms 25 --measure-ms 25
+point -s aloha -w ycsb --compute ondemand --warmup-ms 25 --measure-ms 25
 point -s aloha -w ycsb --ci 0.1 --compute planned --warmup-ms 25 --measure-ms 25
+point -s aloha -w ycsb --fastpath on --warmup-ms 25 --measure-ms 25
+point -s aloha -w tpcc --replicas 2 --warmup-ms 25 --measure-ms 25
 point -s aloha -w tpcc --warmup-ms 25 --measure-ms 25
 point -s calvin -w tpcc --measure-ms 200
 point -s calvin -w ycsb --measure-ms 100

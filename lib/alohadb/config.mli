@@ -15,10 +15,10 @@ type compute_mode =
       (** processor pool (Algorithm 1's dispatcher): one [compute_key]
           rescan job per buffered item *)
   | Planned
-      (** per-epoch dependency-graph planner: at epoch close a plan maps
-          the epoch's functors to prepared node handles, stratifies the
-          read→write edge graph and evaluates nodes directly, pushing
-          read-set values instead of round-tripping *)
+      (** per-epoch dependency-graph planner: at epoch close a plan takes
+          the epoch's install handles as nodes, levels the read→write
+          edge graph and evaluates nodes directly, pushing read-set
+          values instead of round-tripping *)
 
 val compute_mode_of_string : string -> compute_mode option
 val compute_mode_to_string : compute_mode -> string

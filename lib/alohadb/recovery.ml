@@ -39,7 +39,7 @@ let replay ~engine ~snapshot ~entries =
         Functor_cc.Compute_engine.install engine ~key ~version ~lo:0
           ~hi:max_int record
       with
-      | Ok () -> incr restored
+      | Ok _ -> incr restored
       | Error _ -> ())
     snapshot;
   (* 2. log replay, oldest first (install order) *)
@@ -62,7 +62,7 @@ let replay ~engine ~snapshot ~entries =
             Functor_cc.Compute_engine.install engine ~key ~version ~lo:0
               ~hi:max_int record
           with
-          | Ok () -> incr restored
+          | Ok _ -> incr restored
           | Error `Duplicate_version | Error `Version_out_of_window -> ())
       | Wal.Log_abort { key; version } ->
           Functor_cc.Compute_engine.abort_version engine ~key ~version

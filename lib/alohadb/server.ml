@@ -26,6 +26,30 @@ type track = {
   mutable max_retrieved : int;
 }
 
+(* Per-transaction tables, monomorphic.  Transaction ids are timestamps
+   whose low bits are a per-node sequence number ({!Clocksync.Timestamp}),
+   and a table picks a bucket by the low bits of the hash, so the hash
+   first mixes every bit of the id down into them. *)
+let mix x =
+  let x = (x lxor (x lsr 31)) * 0x3c79ac492ba7b653 in
+  let x = (x lxor (x lsr 29)) * 0x1c69b3f74ac4ae35 in
+  x lxor (x lsr 32)
+
+module Txn_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = mix
+end)
+
+(* Keyed by (txn_id, partition). *)
+module Txn_part_tbl = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal (a, b) (c, d) = Int.equal a c && Int.equal b d
+  let hash (txn_id, partition) = mix (txn_id + mix partition)
+end)
+
 (* Backend-side per-transaction batch tracking: how many locally installed
    functors still await a final value. *)
 type batch = {
@@ -116,14 +140,14 @@ type t = {
   mutable engine : Functor_cc.Compute_engine.t;
   mutable processor : Functor_cc.Processor.t;
   mutable planner : Functor_cc.Planner.t;
-  tracks : (int, track) Hashtbl.t;
-  batches : (int * int, batch) Hashtbl.t;
+  tracks : track Txn_tbl.t;
+  batches : batch Txn_part_tbl.t;
       (* (txn_id, partition) -> batch: a server that adopted a partition
          can hold two batches of the same transaction *)
-  install_verdicts : (int * int, bool) Hashtbl.t;
+  install_verdicts : bool Txn_part_tbl.t;
       (* (txn_id, partition) -> install ack verdict, so retransmitted
          installs are answered idempotently (volatile: wiped by a crash) *)
-  pending_dones : (int * int, unit) Hashtbl.t;
+  pending_dones : unit Txn_part_tbl.t;
       (* (txn_id, partition) pairs whose Batch_done awaits the
          coordinator's ack; drives the resend loop (volatile: wiped by a
          crash — recovery rebuilds the batch, and recomputation sends a
@@ -489,7 +513,7 @@ let maybe_complete t track =
     && (not track.install_failed)
     && List.length track.done_srcs = track.expected_dones
   then begin
-    Hashtbl.remove t.tracks (Ts.to_int track.ts);
+    Txn_tbl.remove t.tracks (Ts.to_int track.ts);
     let completed_at = now t in
     record_commit_metrics t track completed_at;
     emit t ~txn:(Ts.to_int track.ts)
@@ -538,7 +562,7 @@ let abort_write_phase t track keys_by_partition =
   emit t ~txn:(Ts.to_int track.ts) ~stage:Obs.Trace.Aborted ~arg:track.epoch
     ();
   if expected = 0 then begin
-    Hashtbl.remove t.tracks (Ts.to_int track.ts);
+    Txn_tbl.remove t.tracks (Ts.to_int track.ts);
     Epoch.Participant.txn_finished t.part ~epoch:track.epoch;
     track.reply (Txn.Aborted { ts = Some track.ts; stage = `Install })
   end
@@ -556,7 +580,7 @@ let abort_write_phase t track keys_by_partition =
           (fun _resp ->
             decr remaining;
             if !remaining = 0 then begin
-              Hashtbl.remove t.tracks (Ts.to_int track.ts);
+              Txn_tbl.remove t.tracks (Ts.to_int track.ts);
               Epoch.Participant.txn_finished t.part ~epoch:track.epoch;
               track.reply (Txn.Aborted { ts = Some track.ts; stage = `Install })
             end))
@@ -662,7 +686,7 @@ and start_rw t (writes, precondition_keys, ack) reply w ts ~submitted_at =
       acked_ok = []; install_done_at = issued_at; done_srcs = [];
       any_aborted = false; max_retrieved = issued_at }
   in
-  Hashtbl.replace t.tracks (Ts.to_int ts) track;
+  Txn_tbl.replace t.tracks (Ts.to_int ts) track;
   let keys_by_partition =
     List.map (fun (p, entries) -> (p, List.map fst entries)) groups
   in
@@ -745,9 +769,9 @@ let send_batch_done t (b : batch) ~txn_id ~partition ~functors =
      partition). *)
   let period = t.config.Config.install_retry_us in
   if period > 0 then begin
-    Hashtbl.replace t.pending_dones (txn_id, partition) ();
+    Txn_part_tbl.replace t.pending_dones (txn_id, partition) ();
     let rec again () =
-      if (not t.be_down) && Hashtbl.mem t.pending_dones (txn_id, partition)
+      if (not t.be_down) && Txn_part_tbl.mem t.pending_dones (txn_id, partition)
       then begin
         send ();
         Sim.Engine.after t.sim period again
@@ -830,7 +854,7 @@ let do_install t ~src (inst : Message.install) reply =
   let partition = t.partition_of (fst (List.hd inst.writes)) in
   if t.be_down || not (leads t ~partition) then incr t.m_be_dropped
   else
-    match Hashtbl.find_opt t.install_verdicts (inst.txn_id, partition) with
+    match Txn_part_tbl.find_opt t.install_verdicts (inst.txn_id, partition) with
     | Some ok ->
         (* Retransmission of an install we already answered (the ack was
            lost): repeat the verdict, without re-applying anything. *)
@@ -847,7 +871,8 @@ let do_install t ~src (inst : Message.install) reply =
         in
         if not (List.for_all present inst.preconditions) then begin
           incr t.m_precondition_failures;
-          Hashtbl.replace t.install_verdicts (inst.txn_id, partition) false;
+          Txn_part_tbl.replace t.install_verdicts (inst.txn_id, partition)
+            false;
           ack_install t ~partition ~ok:false reply
         end
         else begin
@@ -868,7 +893,7 @@ let do_install t ~src (inst : Message.install) reply =
                 Functor_cc.Compute_engine.install t.engine ~key
                   ~version:inst.ts ~lo ~hi record
               with
-              | Ok () -> (
+              | Ok h -> (
                   incr t.m_functors_installed;
                   log_entry t ~partition
                     (Wal.Log_install
@@ -888,7 +913,7 @@ let do_install t ~src (inst : Message.install) reply =
                       else begin
                         b.remaining <- b.remaining + 1;
                         Functor_cc.Processor.buffer t.processor
-                          ~epoch:inst.epoch ~key ~version:inst.ts
+                          ~epoch:inst.epoch h
                       end
                   | Funct.Final _ -> ())
               | Error (`Duplicate_version | `Version_out_of_window) ->
@@ -903,8 +928,8 @@ let do_install t ~src (inst : Message.install) reply =
             if b.remaining = 0 then
               send_batch_done t b ~txn_id:inst.txn_id ~partition
                 ~functors:(List.length inst.writes)
-            else Hashtbl.replace t.batches (inst.txn_id, partition) b;
-          Hashtbl.replace t.install_verdicts (inst.txn_id, partition) true;
+            else Txn_part_tbl.replace t.batches (inst.txn_id, partition) b;
+          Txn_part_tbl.replace t.install_verdicts (inst.txn_id, partition) true;
           ack_install t ~partition ~ok:true reply
         end
 
@@ -924,7 +949,7 @@ let do_abort t ~ts ~keys reply =
       end
 
 let on_batch_done t ~txn_id ~partition ~max_retrieved_at ~aborted =
-  match Hashtbl.find_opt t.tracks txn_id with
+  match Txn_tbl.find_opt t.tracks txn_id with
   | None -> ()  (* transaction already aborted in the write phase *)
   | Some track ->
       if not (List.mem partition track.done_srcs) then begin
@@ -938,7 +963,7 @@ let on_batch_done t ~txn_id ~partition ~max_retrieved_at ~aborted =
 
 let on_functor_final t ~key ~pending ~final =
   let partition = t.partition_of key in
-  match Hashtbl.find_opt t.batches (pending.Funct.txn_id, partition) with
+  match Txn_part_tbl.find_opt t.batches (pending.Funct.txn_id, partition) with
   | None -> ()
   | Some { remaining; _ } when remaining <= 0 ->
       (* A recovered pending functor (not tracked by any live batch)
@@ -959,7 +984,7 @@ let on_functor_final t ~key ~pending ~final =
       | Funct.Aborted_v, _ -> b.batch_aborted <- true
       | (Funct.Committed _ | Funct.Deleted_v), _ -> ());
       if b.remaining = 0 then begin
-        Hashtbl.remove t.batches (pending.Funct.txn_id, partition);
+        Txn_part_tbl.remove t.batches (pending.Funct.txn_id, partition);
         send_batch_done t b ~txn_id:pending.Funct.txn_id ~partition
           ~functors:0
       end
@@ -1028,26 +1053,16 @@ let spawn_engine t =
   in
   me := engine;
   t.engine <- engine;
-  (* The dispatch observer looks the functor's transaction id up in the
-     table; the probe is only paid on traced runs. *)
   let on_dispatch =
     match t.obs with
     | None -> None
     | Some _ ->
         Some
-          (fun ~key ~version ->
-            match
-              Mvstore.Table.find_le
-                (Functor_cc.Compute_engine.table engine)
-                ~key ~version
-            with
-            | Some (v, record) when v = version -> (
-                match record.Funct.state with
-                | Funct.Pending p ->
-                    emit t ~txn:p.Funct.txn_id ~stage:Obs.Trace.Compute_start
-                      ()
-                | Funct.Final _ -> ())
-            | Some _ | None -> ())
+          (fun (h : Functor_cc.Compute_engine.handle) ->
+            match h.record.Funct.state with
+            | Funct.Pending p ->
+                emit t ~txn:p.Funct.txn_id ~stage:Obs.Trace.Compute_start ()
+            | Funct.Final _ -> ())
   in
   t.processor <-
     Functor_cc.Processor.create ~engine ~pool:t.pool
@@ -1105,7 +1120,7 @@ let release_closed t ~upto_epoch =
 let reintegrate t ~partition ~entries =
   let table = Functor_cc.Compute_engine.table t.engine in
   let batch_of txn_id ~coordinator =
-    match Hashtbl.find_opt t.batches (txn_id, partition) with
+    match Txn_part_tbl.find_opt t.batches (txn_id, partition) with
     | Some b -> b
     | None ->
         let b =
@@ -1114,7 +1129,7 @@ let reintegrate t ~partition ~entries =
             batch_max_retrieved = now t;
             batch_aborted = false }
         in
-        Hashtbl.replace t.batches (txn_id, partition) b;
+        Txn_part_tbl.replace t.batches (txn_id, partition) b;
         b
   in
   let finals = Hashtbl.create 16 in
@@ -1122,25 +1137,30 @@ let reintegrate t ~partition ~entries =
     (function
       | Wal.Log_install { key; version; epoch; txn_id; coordinator; fast; _ }
         -> (
-          match Mvstore.Table.find_le table ~key ~version with
-          | Some (v, record) when v = version -> (
-              match record.Funct.state with
-              | Funct.Pending _ when fast ->
-                  (* Fast-path installs have no batch and send no
-                     Batch_done — the coordinator committed at install
-                     time; just re-park the delta for its lazy merge. *)
-                  buffer_fast t ~epoch ~key ~version
-              | Funct.Pending _ ->
-                  Functor_cc.Processor.buffer t.processor ~epoch ~key
-                    ~version;
-                  (* Rebuild the batch so the recomputation's finals
-                     re-drive the coordinator's Batch_done. *)
-                  let b = batch_of txn_id ~coordinator in
-                  b.remaining <- b.remaining + 1
-              | Funct.Final _ ->
-                  if not fast then
-                    Hashtbl.replace finals txn_id coordinator)
-          | Some _ | None -> ())
+          match Mvstore.Table.chain table key with
+          | None -> ()
+          | Some chain -> (
+              match Mvstore.Chain.find_exact chain ~version with
+              | None -> ()
+              | Some record -> (
+                  match record.Funct.state with
+                  | Funct.Pending _ when fast ->
+                      (* Fast-path installs have no batch and send no
+                         Batch_done — the coordinator committed at install
+                         time; just re-park the delta for its lazy
+                         merge. *)
+                      buffer_fast t ~epoch ~key ~version
+                  | Funct.Pending _ ->
+                      Functor_cc.Processor.buffer t.processor ~epoch
+                        { Functor_cc.Compute_engine.key; version; chain;
+                          record };
+                      (* Rebuild the batch so the recomputation's finals
+                         re-drive the coordinator's Batch_done. *)
+                      let b = batch_of txn_id ~coordinator in
+                      b.remaining <- b.remaining + 1
+                  | Funct.Final _ ->
+                      if not fast then
+                        Hashtbl.replace finals txn_id coordinator)))
       | Wal.Log_abort _ | Wal.Log_epoch_closed _ -> ())
     entries;
   (* Transactions recovered entirely final (immediate-final specs like
@@ -1151,7 +1171,7 @@ let reintegrate t ~partition ~entries =
      the (single) authoritative notification. *)
   Hashtbl.iter
     (fun txn_id coordinator ->
-      if not (Hashtbl.mem t.batches (txn_id, partition)) then
+      if not (Txn_part_tbl.mem t.batches (txn_id, partition)) then
         send_batch_done t
           { coordinator = Net.Address.of_int coordinator;
             remaining = 0;
@@ -1252,10 +1272,10 @@ let create ~sim ~data ~control ~addr ~node_id ~em ~clock ~partition_of
       planner =
         Functor_cc.Planner.create ~engine:bootstrap_engine ~pool
           ~dispatch_cost_us:0 ~metrics ();
-      tracks = Hashtbl.create 1024;
-      batches = Hashtbl.create 1024;
-      install_verdicts = Hashtbl.create 1024;
-      pending_dones = Hashtbl.create 64;
+      tracks = Txn_tbl.create 1024;
+      batches = Txn_part_tbl.create 1024;
+      install_verdicts = Txn_part_tbl.create 1024;
+      pending_dones = Txn_part_tbl.create 64;
       fp_pending = Hashtbl.create 64;
       held = Queue.create ();
       wal =
@@ -1367,7 +1387,7 @@ let create ~sim ~data ~control ~addr ~node_id ~em ~clock ~partition_of
           Net.Rpc.send t.data ~src:t.address ~dst:src
             (Message.One (Message.Batch_done_ack { txn_id; partition }))
       | Message.One (Message.Batch_done_ack { txn_id; partition }) ->
-          Hashtbl.remove t.pending_dones (txn_id, partition)
+          Txn_part_tbl.remove t.pending_dones (txn_id, partition)
       | Message.One (Message.Plan_sub { key; version; dst_key; dst_version })
         ->
           (* A remote plan wants this key's value pushed to one of its
@@ -1686,9 +1706,9 @@ let crash_be t =
           f.f_ack_pending <- false)
         t.flws;
       fire_pending_closes t);
-  Hashtbl.reset t.batches;
-  Hashtbl.reset t.install_verdicts;
-  Hashtbl.reset t.pending_dones;
+  Txn_part_tbl.reset t.batches;
+  Txn_part_tbl.reset t.install_verdicts;
+  Txn_part_tbl.reset t.pending_dones;
   Hashtbl.reset t.fp_pending;
   spawn_engine t;
   lnote t (fun l ->

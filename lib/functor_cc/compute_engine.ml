@@ -68,8 +68,17 @@ let load_initial t ~key value =
       invalid_arg
         (Printf.sprintf "load_initial: duplicate key %S" (Key.name key))
 
+type handle = {
+  key : Key.t;
+  version : int;
+  chain : Funct.t Mvstore.Chain.t;
+  record : Funct.t;
+}
+
 let install t ~key ~version ~lo ~hi record =
-  Mvstore.Table.put t.table ~key ~version ~lo ~hi record
+  match Mvstore.Table.put t.table ~key ~version ~lo ~hi record with
+  | Ok chain -> Ok { key; version; chain; record }
+  | Error _ as e -> e
 
 let watermark t ~key =
   match Mvstore.Table.chain t.table key with
@@ -351,72 +360,51 @@ and finalize t ~chain ~key ~ver record p final =
 and compute_key t ~key ~version =
   match Mvstore.Table.chain t.table key with
   | None -> ()
-  | Some chain ->
-      let lo = Mvstore.Chain.watermark chain + 1 in
-      let pending = ref [] in
-      (* Versions already computing need nothing more ([ensure_computing]
-         would return at once), so only the installed ones are listed. *)
-      Mvstore.Chain.iter_range chain ~lo ~hi:version (fun ver record ->
-          match record.Funct.state with
-          | Funct.Final _ | Funct.Pending { status = Funct.Computing; _ } -> ()
-          | Funct.Pending p -> pending := (ver, record, p) :: !pending);
-      List.iter
-        (fun (ver, record, p) -> ensure_computing t ~chain ~key ~ver record p)
-        (List.rev !pending)
+  | Some chain -> compute_in t ~chain ~key ~version
 
-(* ---- planner support: prepared node handles -------------------------- *)
-
-(* A prepared node binds a still-pending record to its chain once, at plan
-   construction, so plan evaluation can call [ensure_computing] directly —
-   no table probe, no watermark rescan (the O(chain) walk of
-   [compute_key]) per evaluation. *)
-type prepared = {
-  p_key : Key.t;
-  p_version : int;
-  p_chain : Funct.t Mvstore.Chain.t;
-  p_record : Funct.t;
-  p_pending : Funct.pending;
-}
-
-let prepare_in ~chain ~key ~version =
-  match Mvstore.Chain.find_exact chain ~version with
-  | None -> None
-  | Some record -> (
+and compute_in t ~chain ~key ~version =
+  let lo = Mvstore.Chain.watermark chain + 1 in
+  let pending = ref [] in
+  (* Versions already computing need nothing more ([ensure_computing]
+     would return at once), so only the installed ones are listed. *)
+  Mvstore.Chain.iter_range chain ~lo ~hi:version (fun ver record ->
       match record.Funct.state with
-      | Funct.Final _ -> None
-      | Funct.Pending p ->
-          Some
-            { p_key = key; p_version = version; p_chain = chain;
-              p_record = record; p_pending = p })
+      | Funct.Final _ | Funct.Pending { status = Funct.Computing; _ } -> ()
+      | Funct.Pending p -> pending := (ver, record, p) :: !pending);
+  List.iter
+    (fun (ver, record, p) -> ensure_computing t ~chain ~key ~ver record p)
+    (List.rev !pending)
 
-let prepare t ~key ~version =
-  match Mvstore.Table.chain t.table key with
-  | None -> None
-  | Some chain -> prepare_in ~chain ~key ~version
+(* ---- evaluation by handle -------------------------------------------- *)
 
-let compute_prepared t pr =
-  (* The record may have turned final since the plan was built (an
-     on-demand read raced us, or a dependent write resolved it);
-     [ensure_computing] re-checks status, so this stays at-most-once. *)
-  match pr.p_record.Funct.state with
+(* An install handle carries the record's chain, so the processor and the
+   planner evaluate it later with no table probe. *)
+
+let compute t h = compute_in t ~chain:h.chain ~key:h.key ~version:h.version
+
+let demand t h = get_in t ~chain:h.chain ~key:h.key ~version:h.version ignore
+
+let evaluate t h =
+  (* The record may have turned final since it was buffered (an on-demand
+     read raced us, or a dependent write resolved it); [ensure_computing]
+     re-checks status, so this stays at-most-once. *)
+  match h.record.Funct.state with
   | Funct.Final _ -> ()
   | Funct.Pending p ->
-      ensure_computing t ~chain:pr.p_chain ~key:pr.p_key ~ver:pr.p_version
-        pr.p_record p
-
-let prepared_key pr = pr.p_key
-let prepared_version pr = pr.p_version
-let prepared_pending pr = pr.p_pending
+      ensure_computing t ~chain:h.chain ~key:h.key ~ver:h.version h.record p
 
 let merge_delta t ~key ~version =
-  (* Fold a fast-path pending delta into its chain.  [prepare] returns
-     [None] when the record is absent or already final (an on-demand read
-     or an earlier merge got there first) — at-most-once either way. *)
-  match prepare t ~key ~version with
+  (* Fold a fast-path pending delta into its chain.  Absent or already
+     final (an on-demand read or an earlier merge got there first) is a
+     no-op — at-most-once either way. *)
+  match Mvstore.Table.chain t.table key with
   | None -> ()
-  | Some pr ->
-      incr t.m_fastpath_merges;
-      compute_prepared t pr
+  | Some chain -> (
+      match Mvstore.Chain.find_exact chain ~version with
+      | Some ({ Funct.state = Funct.Pending p; _ } as record) ->
+          incr t.m_fastpath_merges;
+          ensure_computing t ~chain ~key ~ver:version record p
+      | Some { Funct.state = Funct.Final _; _ } | None -> ())
 
 (* ---- deliveries from the network ------------------------------------ *)
 

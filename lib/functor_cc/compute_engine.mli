@@ -24,7 +24,8 @@
     Keys are interned ({!Mvstore.Key.t}).  Internally the chain handle is
     threaded through the whole per-key computation, so a Get that
     triggers computation performs exactly one table probe; finalisation
-    and watermark refresh perform none. *)
+    and watermark refresh perform none, and evaluation from an install
+    {!handle} performs none at all. *)
 
 type t
 
@@ -65,9 +66,20 @@ val table : t -> Funct.t Mvstore.Table.t
 val load_initial : t -> key:Mvstore.Key.t -> Value.t -> unit
 (** Install initial data at version 0 (final, below every timestamp). *)
 
+(** An installed record bound to its key's chain.  [install] hands it
+    out, the processor buffers it, and pool dispatch, on-demand dispatch
+    and the planner evaluate from it with no table probe.  Valid only for
+    the engine instance that produced it. *)
+type handle = {
+  key : Mvstore.Key.t;
+  version : int;
+  chain : Funct.t Mvstore.Chain.t;
+  record : Funct.t;
+}
+
 val install :
   t -> key:Mvstore.Key.t -> version:int -> lo:int -> hi:int -> Funct.t ->
-  (unit, Mvstore.Table.put_error) result
+  (handle, Mvstore.Table.put_error) result
 (** The write-only-phase [Put]: version must lie in [lo, hi]. *)
 
 val get :
@@ -75,33 +87,18 @@ val get :
 
 val compute_key : t -> key:Mvstore.Key.t -> version:int -> unit
 
-(** {2 Planner support}
+val compute : t -> handle -> unit
+(** {!compute_key} at the handle's key and version, from its chain: every
+    uncomputed functor from the watermark up to the version, ascending
+    (the [pool] compute mode's dispatch job). *)
 
-    A {!prepared} handle binds a still-pending record to its chain once,
-    at plan-construction time, so the planner can evaluate it later with
-    zero table probes and no watermark rescan.  Handles are only valid
-    for the engine instance that produced them. *)
+val demand : t -> handle -> unit
+(** A [Get] at the handle's own version with the value discarded:
+    evaluation unfolds down the read chain (the [ondemand] mode). *)
 
-type prepared
-
-val prepare : t -> key:Mvstore.Key.t -> version:int -> prepared option
-(** [None] when the (key, version) record is absent or already final. *)
-
-val prepare_in :
-  chain:Funct.t Mvstore.Chain.t -> key:Mvstore.Key.t -> version:int ->
-  prepared option
-(** Like {!prepare} with the key's chain already in hand — bulk callers
-    (the planner) probe the table once per distinct key, not once per
-    item.  [chain] must be [key]'s chain in the owning engine's table. *)
-
-val compute_prepared : t -> prepared -> unit
-(** Evaluate a prepared node via [ensure_computing].  Idempotent: if the
-    record turned final (or started computing) since the plan was built,
-    this is a no-op — at-most-once is preserved either way. *)
-
-val prepared_key : prepared -> Mvstore.Key.t
-val prepared_version : prepared -> int
-val prepared_pending : prepared -> Funct.pending
+val evaluate : t -> handle -> unit
+(** Evaluate the handle's own record only (a planner node).  A no-op if
+    it is final or already computing — at-most-once either way. *)
 
 val merge_delta : t -> key:Mvstore.Key.t -> version:int -> unit
 (** Fold a coordination-free fast-path delta (a commutative built-in

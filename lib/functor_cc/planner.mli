@@ -1,9 +1,9 @@
 (** Per-epoch dependency-graph planner for the functor-computing phase
     (the [planned] compute mode).
 
-    At epoch close the planner takes the epoch's buffered (key, version)
-    items, binds each still-pending record to a {!Compute_engine.prepared}
-    handle, and builds a dependency graph over the plan:
+    At epoch close the planner takes the epoch's buffered install
+    handles ({!Compute_engine.handle}); each still-pending one is a plan
+    node.  The plan's dependency graph is:
 
     - {e intra-key edges}: a functor depends on the plan's next-lower
       version of its own key (built-ins implicitly read their own key at
@@ -16,14 +16,13 @@
       <= [v - 1], when that producer is local and in the plan.
 
     Reads are always of strictly lower versions, so edges strictly
-    increase version and the graph is a DAG.  The planner stratifies it
-    (Kahn levels) purely for statistics — strata count and critical-path
-    length — and then dispatches one worker-pool job per node {e in the
-    original install order}, each evaluating its node directly through
-    {!Compute_engine.compute_prepared}: no table probe and no
-    watermark-to-version chain rescan per evaluation, which is where the
-    planned mode's constant-factor win over the [pool] processor comes
-    from.
+    increase version and the graph is a DAG.  The planner levels it in
+    one pass over the nodes in ascending version order (a topological
+    order) purely for statistics — strata count and critical-path length
+    — and then dispatches one worker-pool job per item {e in the original
+    install order}, each evaluating its record directly through
+    {!Compute_engine.evaluate}: no watermark-to-version chain rescan per
+    evaluation.
 
     For read-set keys owned by another partition (and not already covered
     by a §IV-B pushed read), the planner emits a {e plan subscription}
@@ -40,9 +39,11 @@
 type t
 
 type stats = {
-  nodes : int;  (** prepared (still-pending) functors in the plan *)
+  nodes : int;  (** still-pending functors in the plan *)
   edges : int;  (** dependency edges (intra-key + read→write) *)
-  strata : int;  (** Kahn levels: independent waves of evaluation *)
+  strata : int;
+      (** levels (longest dependency chain, in nodes): independent waves
+          of evaluation *)
   critical_path : int;
       (** edges on the longest dependency chain ([strata - 1] for a
           non-empty plan) *)
@@ -59,7 +60,7 @@ val create :
     (key:Mvstore.Key.t -> version:int -> dst_key:Mvstore.Key.t ->
      dst_version:int -> unit) ->
   ?now:(unit -> int) ->
-  ?on_dispatch:(key:Mvstore.Key.t -> version:int -> unit) ->
+  ?on_dispatch:(Compute_engine.handle -> unit) ->
   ?on_evaluated:(elapsed_us:int -> unit) ->
   unit -> t
 (** [is_local] defaults to treating every key as local (single-partition
@@ -70,10 +71,11 @@ val create :
     the plan for the pool (lifecycle tracing); [on_evaluated] fires once
     when the last node of a plan finalises. *)
 
-val run : t -> items:Processor.item list -> stats
+val run : t -> items:Compute_engine.handle array -> stats
 (** Build and dispatch one plan over [items] (an epoch's drained buffer,
-    in install order).  Already-final items are skipped.  Records
-    [plan.*] metrics; returns the plan's statistics. *)
+    in install order).  Already-final items are no plan node and
+    dispatch as no-ops.  Records [plan.*] metrics; returns the plan's
+    statistics. *)
 
 val plans : t -> int
 (** Number of non-empty plans built since creation. *)

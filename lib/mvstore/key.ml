@@ -9,7 +9,7 @@
    Domain safety: the table is process-global mutable state, so [intern]
    takes a mutex and is safe to call from any domain.  The whole lookup
    is inside the critical section — not just the miss path — because a
-   concurrent [Hashtbl.add] can resize the table out from under a
+   concurrent [Names.add] can resize the table out from under a
    lock-free [find_opt].  The simulation interns from one domain, so the
    lock is uncontended and costs a single lock/unlock — a few tens of
    nanoseconds on the install path; the interning regression test
@@ -26,19 +26,26 @@ type t = {
          from the simulation's domain only (see [memo_int]). *)
 }
 
-let table : (string, t) Hashtbl.t = Hashtbl.create 65_536
+module Names = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+let table : t Names.t = Names.create 65_536
 let next_id = ref 0
 let lock = Mutex.create ()
 
 let intern name =
   Mutex.lock lock;
   let k =
-    match Hashtbl.find_opt table name with
+    match Names.find_opt table name with
     | Some k -> k
     | None ->
         let k = { id = !next_id; name; memo_stamp = -1; memo = 0 } in
         incr next_id;
-        Hashtbl.add table name k;
+        Names.add table name k;
         k
   in
   Mutex.unlock lock;

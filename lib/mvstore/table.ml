@@ -24,14 +24,18 @@ let chain_of t key =
       H.add t.chains key c;
       c
 
-let put_unchecked t ~key ~version payload =
-  match Chain.insert (chain_of t key) ~version payload with
-  | Ok () -> Ok ()
+let insert t ~key ~version payload =
+  let c = chain_of t key in
+  match Chain.insert c ~version payload with
+  | Ok () -> Ok c
   | Error `Duplicate -> Error `Duplicate_version
+
+let put_unchecked t ~key ~version payload =
+  Result.map ignore (insert t ~key ~version payload)
 
 let put t ~key ~version ~lo ~hi payload =
   if version < lo || version > hi then Error `Version_out_of_window
-  else put_unchecked t ~key ~version payload
+  else insert t ~key ~version payload
 
 let chain t key = H.find_opt t.chains key
 

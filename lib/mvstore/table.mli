@@ -20,9 +20,10 @@ val create : ?initial_capacity:int -> unit -> 'a t
 
 val put :
   'a t -> key:Key.t -> version:int -> lo:int -> hi:int -> 'a ->
-  (unit, put_error) result
+  ('a Chain.t, put_error) result
 (** Insert a new version for a key; [lo]/[hi] bound the acceptable version
-    range (inclusive). *)
+    range (inclusive).  Returns the key's chain, so the caller can keep
+    the handle instead of probing the table again. *)
 
 val put_unchecked : 'a t -> key:Key.t -> version:int -> 'a ->
   (unit, [ `Duplicate_version ]) result

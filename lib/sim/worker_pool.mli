@@ -22,6 +22,12 @@ val submit_priority : t -> cost:int -> (unit -> unit) -> unit
 (** Like {!submit} but the job jumps ahead of the normal FIFO queue (used
     for latency-critical control messages, e.g. epoch switches). *)
 
+val submit_batch : t -> cost:int -> n:int -> (int -> unit) -> unit
+(** [submit_batch t ~cost ~n f] is [submit t ~cost (fun () -> f i)] for
+    [i = 0 .. n-1] in turn: the same jobs start at the same times, in the
+    same FIFO order.  The batch takes one queue entry instead of [n]
+    closures, jobs and queue cells.  [n <= 0] submits nothing. *)
+
 val workers : t -> int
 
 val queue_length : t -> int

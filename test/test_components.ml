@@ -39,17 +39,20 @@ let test_processor_release_by_epoch () =
   let sim, engine, proc = mk_proc () in
   Functor_cc.Compute_engine.load_initial engine ~key:(ik "k") (Value.int 0);
   let install version =
-    ignore
-      (Functor_cc.Compute_engine.install engine ~key:(ik "k") ~version ~lo:0
-         ~hi:max_int
-         (Funct.mk_pending ~ftype:Ftype.Add
-            ~farg:(Funct.farg_args [ Value.int 1 ])
-            ~txn_id:version ~coordinator:0))
+    match
+      Functor_cc.Compute_engine.install engine ~key:(ik "k") ~version ~lo:0
+        ~hi:max_int
+        (Funct.mk_pending ~ftype:Ftype.Add
+           ~farg:(Funct.farg_args [ Value.int 1 ])
+           ~txn_id:version ~coordinator:0)
+    with
+    | Ok h -> h
+    | Error _ -> Alcotest.fail "install failed"
   in
-  install 1;
-  install 2;
-  Functor_cc.Processor.buffer proc ~epoch:1 ~key:(ik "k") ~version:1;
-  Functor_cc.Processor.buffer proc ~epoch:2 ~key:(ik "k") ~version:2;
+  let h1 = install 1 in
+  let h2 = install 2 in
+  Functor_cc.Processor.buffer proc ~epoch:1 h1;
+  Functor_cc.Processor.buffer proc ~epoch:2 h2;
   Alcotest.(check int) "both buffered" 2 (Functor_cc.Processor.buffered proc);
   (* Closing epoch 1 must not release epoch 2's metadata. *)
   Functor_cc.Processor.release proc ~upto_epoch:1;

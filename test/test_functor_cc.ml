@@ -110,7 +110,7 @@ let install_pending h ~key ~version ~ftype ~farg =
     Engine.install h.engine ~key:(ik key) ~version ~lo:0 ~hi:max_int
       (Funct.mk_pending ~ftype ~farg ~txn_id:version ~coordinator:0)
   with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error _ -> Alcotest.fail "install failed"
 
 let install_value h ~key ~version v =
@@ -118,7 +118,7 @@ let install_value h ~key ~version v =
     Engine.install h.engine ~key:(ik key) ~version ~lo:0 ~hi:max_int
       (Funct.mk_value v)
   with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error _ -> Alcotest.fail "install failed"
 
 let get_int h ~key ~version =
@@ -185,7 +185,7 @@ let test_aborted_version_skipped () =
      Engine.install h.engine ~key:(ik "k") ~version:7 ~lo:0 ~hi:max_int
        (Funct.mk_final Funct.Aborted_v)
    with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error _ -> Alcotest.fail "install");
   Alcotest.(check (option int)) "read skips aborted" (Some 2)
     (get_int h ~key:"k" ~version:8)
@@ -197,7 +197,7 @@ let test_delete_tombstone () =
      Engine.install h.engine ~key:(ik "k") ~version:4 ~lo:0 ~hi:max_int
        (Funct.mk_final Funct.Deleted_v)
    with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error _ -> Alcotest.fail "install");
   Alcotest.(check (option int)) "deleted reads as absent" None
     (get_int h ~key:"k" ~version:6);
@@ -345,7 +345,7 @@ let test_optimistic_validation () =
           ~snapshot:[ ("k", Some (Value.int 10)) ]
           ~new_value:(Value.int 11) ~txn_id:5 ~coordinator:0)
    with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error _ -> Alcotest.fail "install");
   Alcotest.(check (option int)) "validates and commits" (Some 11)
     (get_int h ~key:"k" ~version:6);
@@ -356,7 +356,7 @@ let test_optimistic_validation () =
           ~snapshot:[ ("k", Some (Value.int 10)) ]  (* stale: now 11 *)
           ~new_value:(Value.int 12) ~txn_id:9 ~coordinator:0)
    with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error _ -> Alcotest.fail "install");
   Alcotest.(check (option int)) "stale snapshot aborts" (Some 11)
     (get_int h ~key:"k" ~version:10)
@@ -415,29 +415,105 @@ let prop_watermark_complete =
       watermark h ~key:"k" = top
       && Engine.pending_count h.engine = 0)
 
+(* Reference for the planner's statistics: its former graph build —
+   writer buckets per key, an intra-key edge between consecutive bucket
+   entries, a read→write edge from the largest bucket version <= v - 1 —
+   and Kahn levels over it.  [nodes] are (key id, version, read-set key
+   ids) in install order; returns (edges, strata). *)
+let reference_plan nodes =
+  let n = Array.length nodes in
+  let buckets = Hashtbl.create 16 in
+  Array.iteri
+    (fun i (kid, ver, _) ->
+      let prev = Option.value (Hashtbl.find_opt buckets kid) ~default:[] in
+      Hashtbl.replace buckets kid ((ver, i) :: prev))
+    nodes;
+  let frozen = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun kid l ->
+      let a = Array.of_list (List.rev l) in
+      Array.stable_sort (fun (v1, _) (v2, _) -> Int.compare v1 v2) a;
+      Hashtbl.replace frozen kid a)
+    buckets;
+  let succs = Array.make n [] and indeg = Array.make n 0 in
+  let edges = ref 0 in
+  let add_edge src dst =
+    succs.(src) <- dst :: succs.(src);
+    indeg.(dst) <- indeg.(dst) + 1;
+    incr edges
+  in
+  Hashtbl.iter
+    (fun _ a ->
+      for k = 1 to Array.length a - 1 do
+        add_edge (snd a.(k - 1)) (snd a.(k))
+      done)
+    frozen;
+  Array.iteri
+    (fun i (_, ver, reads) ->
+      List.iter
+        (fun rk ->
+          match Hashtbl.find_opt frozen rk with
+          | None -> ()
+          | Some a ->
+              let best = ref None in
+              Array.iter
+                (fun (v, j) -> if v <= ver - 1 then best := Some j)
+                a;
+              Option.iter (fun j -> add_edge j i) !best)
+        reads)
+    nodes;
+  let levels = ref 0 in
+  let frontier = ref [] in
+  for i = n - 1 downto 0 do
+    if indeg.(i) = 0 then frontier := i :: !frontier
+  done;
+  while !frontier <> [] do
+    incr levels;
+    let next = ref [] in
+    List.iter
+      (fun i ->
+        List.iter
+          (fun j ->
+            indeg.(j) <- indeg.(j) - 1;
+            if indeg.(j) = 0 then next := j :: !next)
+          succs.(i))
+      !frontier;
+    frontier := !next
+  done;
+  (!edges, !levels)
+
 (* qcheck (planner): random single-epoch plans through the per-epoch
    dependency-graph planner, evaluated over a real worker pool so all
-   dispatch jobs run before any evaluation finalises.  Checks: the
-   finalisation order respects both intra-key and read→write edges, and
-   every pending functor evaluates exactly once. *)
+   dispatch jobs run before any evaluation finalises.  Ops may join the
+   previous op's transaction (same version, another key), and blind
+   [Set]s install already-final records.  Checks: the plan's edge and
+   level counts equal {!reference_plan}'s, the finalisation order
+   respects both intra-key and read→write edges, and every pending
+   functor evaluates exactly once. *)
 let prop_planner_epoch =
   let n_keys = 6 in
   let op_gen =
     QCheck2.Gen.(
-      pair
+      triple
         (int_range 0 (n_keys - 1))
-        (oneof
-           [ map (fun d -> `Add d) (int_range 1 9);
-             map (fun rks -> `Sum rks)
-               (list_size (int_range 1 3) (int_range 0 (n_keys - 1))) ]))
+        (frequency
+           [ (4, map (fun d -> `Add d) (int_range 1 9));
+             ( 4,
+               map (fun rks -> `Sum rks)
+                 (list_size (int_range 1 3) (int_range 0 (n_keys - 1))) );
+             (1, map (fun v -> `Set v) (int_range 0 9)) ])
+        bool)
   in
   let print (ops, seed) =
     Printf.sprintf "seed=%d ops=[%s]" seed
       (String.concat "; "
          (List.map
-            (fun (k, op) ->
+            (fun (k, op, join) ->
+              (if join then "&" else "")
+              ^
               match op with
               | `Add d -> Printf.sprintf "p%d+=%d" k d
+              | `Set v -> Printf.sprintf "p%d:=%d" k v
               | `Sum rks ->
                   Printf.sprintf "p%d=sum(%s)" k
                     (String.concat "," (List.map string_of_int rks)))
@@ -483,10 +559,24 @@ let prop_planner_epoch =
       for i = 0 to n_keys - 1 do
         Engine.load_initial e ~key:(ik (Printf.sprintf "p%d" i)) (Value.int 0)
       done;
-      (* Epoch items: globally unique versions in op order, then a
-         deterministic shuffle so plans also see out-of-version-order
-         installs (the planner's bucket-sort path). *)
-      let indexed = Array.of_list (List.mapi (fun i op -> (i + 1, op)) ops) in
+      (* Epoch items: versions ascending in op order, a joining op sharing
+         its predecessor's version when its key is not yet written at it;
+         then a deterministic shuffle so plans also see
+         out-of-version-order installs. *)
+      let indexed =
+        let version = ref 0 and keys_at = ref [] in
+        Array.of_list
+          (List.map
+             (fun (ki, op, join) ->
+               if not (join && !version > 0 && not (List.mem ki !keys_at))
+               then begin
+                 incr version;
+                 keys_at := []
+               end;
+               keys_at := ki :: !keys_at;
+               (!version, (ki, op)))
+             ops)
+      in
       let st = ref ((2 * shuffle_seed) + 1) in
       let rand n =
         st := ((!st * 1103515245) + 12345) land 0x3FFFFFFF;
@@ -498,33 +588,48 @@ let prop_planner_epoch =
         indexed.(i) <- indexed.(j);
         indexed.(j) <- tmp
       done;
+      let key_of ki = ik (Printf.sprintf "p%d" ki) in
       let items =
-        Array.to_list
-          (Array.map
-             (fun (version, (ki, op)) ->
-               let key = ik (Printf.sprintf "p%d" ki) in
-               let funct =
-                 match op with
-                 | `Add d ->
-                     Funct.mk_pending ~ftype:Ftype.Add
-                       ~farg:(Funct.farg_args [ Value.int d ])
-                       ~txn_id:version ~coordinator:0
-                 | `Sum rks ->
-                     let read_set =
-                       List.sort_uniq compare
-                         (List.map (fun r -> ik (Printf.sprintf "p%d" r)) rks)
-                     in
-                     Funct.mk_pending ~ftype:(Ftype.User "sum")
-                       ~farg:{ Funct.farg_empty with read_set }
-                       ~txn_id:version ~coordinator:0
-               in
-               (match
-                  Engine.install e ~key ~version ~lo:0 ~hi:max_int funct
-                with
-               | Ok () -> ()
-               | Error _ -> Alcotest.fail "install failed");
-               { Functor_cc.Processor.key; version })
-             indexed)
+        Array.map
+          (fun (version, (ki, op)) ->
+            let funct =
+              match op with
+              | `Add d ->
+                  Funct.mk_pending ~ftype:Ftype.Add
+                    ~farg:(Funct.farg_args [ Value.int d ])
+                    ~txn_id:version ~coordinator:0
+              | `Set v -> Funct.mk_value (Value.int v)
+              | `Sum rks ->
+                  let read_set =
+                    List.sort_uniq compare (List.map key_of rks)
+                  in
+                  Funct.mk_pending ~ftype:(Ftype.User "sum")
+                    ~farg:{ Funct.farg_empty with read_set }
+                    ~txn_id:version ~coordinator:0
+            in
+            match
+              Engine.install e ~key:(key_of ki) ~version ~lo:0 ~hi:max_int
+                funct
+            with
+            | Ok h -> h
+            | Error _ -> Alcotest.fail "install failed")
+          indexed
+      in
+      let ref_edges, ref_strata =
+        reference_plan
+          (Array.of_list
+             (List.filter_map
+                (fun (version, (ki, op)) ->
+                  let kid = Mvstore.Key.id (key_of ki) in
+                  match op with
+                  | `Add _ -> Some (kid, version, [])
+                  | `Sum rks ->
+                      Some
+                        ( kid, version,
+                          List.map Mvstore.Key.id
+                            (List.sort_uniq compare (List.map key_of rks)) )
+                  | `Set _ -> None)
+                (Array.to_list indexed)))
       in
       let planner =
         Functor_cc.Planner.create ~engine:e ~pool ~dispatch_cost_us:1
@@ -532,7 +637,12 @@ let prop_planner_epoch =
       in
       let stats = Functor_cc.Planner.run planner ~items in
       Sim.Engine.run sim;
-      let n_ops = List.length ops in
+      let n_pending =
+        Array.fold_left
+          (fun acc (_, (_, op)) ->
+            match op with `Set _ -> acc | `Add _ | `Sum _ -> acc + 1)
+          0 indexed
+      in
       let final_order = List.rev !order in
       (* exactly-once: every item finalised, none twice, nothing pending *)
       let distinct = List.sort_uniq compare final_order in
@@ -543,15 +653,16 @@ let prop_planner_epoch =
       in
       let pos_of kv = Hashtbl.find pos kv in
       (* every dependency edge implied by the epoch is respected in the
-         finalisation order *)
+         finalisation order; a blind [Set] producer was final before the
+         plan ran and orders nothing *)
       let producer key_name ~below =
         Array.fold_left
-          (fun best (version, (ki, _)) ->
+          (fun best (version, (ki, op)) ->
             if
               version <= below
               && String.equal (Printf.sprintf "p%d" ki) key_name
-              && (match best with Some b -> version > b | None -> true)
-            then Some version
+              && (match best with Some (b, _) -> version > b | None -> true)
+            then Some (version, op)
             else best)
           None indexed
       in
@@ -566,10 +677,12 @@ let prop_planner_epoch =
             let kname = Printf.sprintf "p%d" ki in
             let after_producer rk_name =
               match producer rk_name ~below:(version - 1) with
-              | None -> true
-              | Some pv -> pos_of (rk_name, pv) < pos_of (kname, version)
+              | None | Some (_, `Set _) -> true
+              | Some (pv, (`Add _ | `Sum _)) ->
+                  pos_of (rk_name, pv) < pos_of (kname, version)
             in
             match op with
+            | `Set _ -> true
             | `Add _ -> after_producer kname
             | `Sum rks ->
                 List.for_all
@@ -577,11 +690,13 @@ let prop_planner_epoch =
                   rks)
           indexed
       in
-      stats.Functor_cc.Planner.nodes = n_ops
+      stats.Functor_cc.Planner.nodes = n_pending
+      && stats.Functor_cc.Planner.edges = ref_edges
+      && stats.Functor_cc.Planner.strata = ref_strata
       && stats.Functor_cc.Planner.critical_path
-         = stats.Functor_cc.Planner.strata - 1
-      && List.length final_order = n_ops
-      && List.length distinct = n_ops
+         = max 0 (stats.Functor_cc.Planner.strata - 1)
+      && List.length final_order = n_pending
+      && List.length distinct = n_pending
       && Engine.pending_count e = 0
       && edges_ok)
 

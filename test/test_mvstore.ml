@@ -143,7 +143,7 @@ let test_table_window () =
   let t : int Table.t = Table.create () in
   let k = ik "k" in
   (match Table.put t ~key:k ~version:50 ~lo:10 ~hi:100 1 with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error _ -> Alcotest.fail "in-window put");
   (match Table.put t ~key:k ~version:5 ~lo:10 ~hi:100 2 with
   | Error `Version_out_of_window -> ()

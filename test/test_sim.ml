@@ -332,6 +332,78 @@ let prop_histogram_accuracy =
           abs (approx - exact) <= (exact / 8) + 16)
         [ 50; 90; 99 ])
 
+(* qcheck: [submit_batch ~cost ~n f] behaves as [n] single submits of
+   [f 0 .. n-1].  Random worker counts and costs; singles, priority
+   submits and batches interleaved with clock advances, and jobs that
+   submit a batch while they run.  The (job, start, finish) sequence and
+   the queue length after every step must equal those of the same run
+   with every batch expanded into single submits. *)
+type pool_step =
+  | Single of int
+  | Prio of int
+  | Batch of int * int
+  | Nested of int * int * int  (* a job that submits a batch when it runs *)
+  | Advance of int
+
+let run_pool_steps ~workers ~expand steps =
+  let sim = Sim.Engine.create () in
+  let p = Sim.Worker_pool.create sim ~workers in
+  let log = ref [] in
+  let observe tag =
+    log :=
+      `Queue
+        (tag, Sim.Worker_pool.queue_length p, Sim.Worker_pool.busy_workers p)
+      :: !log
+  in
+  let job id cost () =
+    let now = Sim.Engine.now sim in
+    log := `Job (id, now - cost, now) :: !log
+  in
+  let batch ~cost ~n f =
+    if expand then
+      for i = 0 to n - 1 do
+        Sim.Worker_pool.submit p ~cost (fun () -> f i)
+      done
+    else Sim.Worker_pool.submit_batch p ~cost ~n f
+  in
+  List.iteri
+    (fun s step ->
+      (match step with
+      | Single c -> Sim.Worker_pool.submit p ~cost:c (job (s, 0) c)
+      | Prio c -> Sim.Worker_pool.submit_priority p ~cost:c (job (s, 0) c)
+      | Batch (c, n) -> batch ~cost:c ~n (fun i -> job (s, i) c ())
+      | Nested (c, n, c') ->
+          Sim.Worker_pool.submit p ~cost:c (fun () ->
+              job (s, -1) c ();
+              batch ~cost:c' ~n (fun i -> job (s, 100 + i) c' ());
+              observe (s, -1))
+      | Advance d -> Sim.Engine.run sim ~until:(Sim.Engine.now sim + d));
+      observe (s, 0))
+    steps;
+  Sim.Engine.run sim;
+  ( List.rev !log,
+    Sim.Worker_pool.jobs_completed p,
+    Sim.Worker_pool.busy_time p,
+    Sim.Worker_pool.queue_length p )
+
+let prop_submit_batch_is_submits =
+  let cost = QCheck2.Gen.int_range 0 20 in
+  let step =
+    QCheck2.Gen.(
+      frequency
+        [ (3, map (fun c -> Single c) cost);
+          (1, map (fun c -> Prio c) cost);
+          (3, map2 (fun c n -> Batch (c, n)) cost (int_range 0 6));
+          ( 2,
+            map3 (fun c n c' -> Nested (c, n, c')) cost (int_range 0 6) cost );
+          (2, map (fun d -> Advance d) (int_range 0 30)) ])
+  in
+  QCheck2.Test.make ~name:"pool: submit_batch = n submits" ~count:300
+    QCheck2.Gen.(pair (int_range 1 4) (list_size (int_range 0 30) step))
+    (fun (workers, steps) ->
+      run_pool_steps ~workers ~expand:false steps
+      = run_pool_steps ~workers ~expand:true steps)
+
 let suite =
   [ Alcotest.test_case "heap sorted drain" `Quick test_heap_sorted;
     Alcotest.test_case "heap fifo ties" `Quick test_heap_fifo_ties;
@@ -342,6 +414,7 @@ let suite =
     Alcotest.test_case "engine stop/resume" `Quick test_engine_stop;
     Alcotest.test_case "pool width" `Quick test_pool_respects_width;
     Alcotest.test_case "pool priority" `Quick test_pool_priority;
+    QCheck_alcotest.to_alcotest prop_submit_batch_is_submits;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
