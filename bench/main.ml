@@ -242,7 +242,7 @@ let fastpath () =
       Harness.Setup.ycsb ~engine:aloha ~n:4 ~ci:0.01 ~epoch_us:10_000
         ~fastpath ~seed:7 ()
     in
-    Harness.Driver.run built
+    Harness.Setup.run built
       ~arrival:(Kernel.Arrivals.Closed { clients_per_fe = 4 })
       ~warmup_us:100_000 ~measure_us:1_000_000 ()
   in

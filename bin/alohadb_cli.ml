@@ -121,7 +121,7 @@ let run_cmd =
     in
     let wall_t0 = Unix.gettimeofday () in
     let result =
-      Harness.Driver.run built ~arrival ~warmup_us ~measure_us ()
+      Harness.Setup.run built ~arrival ~warmup_us ~measure_us ()
     in
     let wall_s = Unix.gettimeofday () -. wall_t0 in
     (let (Harness.Setup.Built ((module E), c, _)) = built in
@@ -135,17 +135,17 @@ let run_cmd =
     (match fastpath with
     | Some true -> Format.printf "fastpath: on@."
     | _ -> ());
-    Format.printf "%a@." Harness.Driver.pp_result result;
+    Format.printf "%a@." Kernel.Result.pp result;
     (* Host wall-clock throughput, next to the simulated result above. *)
     Format.printf "wall clock: %.3f s (%.0f committed txn/s wall)@." wall_s
-      (float_of_int result.Harness.Driver.committed /. wall_s);
+      (float_of_int result.Kernel.Result.committed /. wall_s);
     List.iter
       (fun (stage, (st : Kernel.Result.stage_stat)) ->
         Format.printf "  %-22s %8.2f ms  p99 %6.2f ms  p999 %6.2f ms@." stage
           (st.Kernel.Result.mean_us /. 1000.0)
           (float_of_int st.p99_us /. 1000.0)
           (float_of_int st.p999_us /. 1000.0))
-      result.Harness.Driver.stage_stats
+      result.Kernel.Result.stage_stats
   in
   let doc = "Run one experiment point and print its metrics." in
   Cmd.v (Cmd.info "run" ~doc)
@@ -355,7 +355,7 @@ let traced_run ~sys_name ~engine ~n ~ci ~sample ~epoch_us ~warmup_us
               (fun _ -> ()))
       done;
       let result =
-        Harness.Driver.run_engine
+        Kernel.Run.run
           (module Alohadb.Engine)
           ~cluster:c ~gen ~arrival ~obs:ctl ~warmup_us ~measure_us ~seed ()
       in
@@ -365,7 +365,7 @@ let traced_run ~sys_name ~engine ~n ~ci ~sample ~epoch_us ~warmup_us
         Harness.Setup.ycsb ~engine ~n ~ci ~epoch_us ~obs:ctl ~seed ()
       in
       let result =
-        Harness.Driver.run built ~arrival ~obs:ctl ~warmup_us ~measure_us
+        Harness.Setup.run built ~arrival ~obs:ctl ~warmup_us ~measure_us
           ~seed ()
       in
       (result, ctl, None)
@@ -439,7 +439,7 @@ let trace_cmd =
       "wrote %s: %d events in ring (%d emitted, %d dropped, sampling 1/%d), \
        %d committed@."
       out (Obs.Trace.length tr) (Obs.Trace.total tr) (Obs.Trace.dropped tr)
-      sample result.Harness.Driver.committed
+      sample result.Kernel.Result.committed
   in
   let doc =
     "Run a small traced YCSB experiment and export a Chrome trace_events      JSON file (load it in chrome://tracing or ui.perfetto.dev)."
@@ -457,7 +457,7 @@ let stats_cmd =
       traced_run ~sys_name ~engine ~n ~ci ~sample ~epoch_us:(epoch_ms * 1000)
         ~warmup_us:(warmup_ms * 1000) ~measure_us:(measure_ms * 1000) ~seed
     in
-    Format.printf "%a@." Harness.Driver.pp_result result;
+    Format.printf "%a@." Kernel.Result.pp result;
     List.iter
       (fun (stage, (st : Kernel.Result.stage_stat)) ->
         Format.printf
@@ -468,7 +468,7 @@ let stats_cmd =
           (float_of_int st.p95_us /. 1000.0)
           (float_of_int st.p99_us /. 1000.0)
           (float_of_int st.p999_us /. 1000.0))
-      result.Harness.Driver.stage_stats;
+      result.Kernel.Result.stage_stats;
     let tr = Obs.Ctl.trace ctl in
     let rollup = Obs.Export.epoch_rollup tr in
     if rollup <> [] then Format.printf "%a@." Obs.Export.pp_rollup rollup;

@@ -28,3 +28,4 @@ point -s aloha -w tpcc --warmup-ms 25 --measure-ms 25
 point -s calvin -w tpcc --measure-ms 200
 point -s calvin -w ycsb --measure-ms 100
 point -s twopl -w tpcc --warmup-ms 25 --measure-ms 25
+point -s twopl -w ycsb --warmup-ms 25 --measure-ms 25

@@ -32,11 +32,11 @@ let guarded_transfer (ctx : Registry.ctx) =
 let transfer amount =
   Txn.read_write
     [ ("acct:A",
-       Txn.Call
+       Kernel.Txn.Call
          { handler = "guarded_transfer"; read_set = [ "acct:A" ];
            args = [ Value.int amount; Value.int (-amount) ] });
       ("acct:B",
-       Txn.Call
+       Kernel.Txn.Call
          { handler = "guarded_transfer"; read_set = [ "acct:A"; "acct:B" ];
            args = [ Value.int amount; Value.int amount ] }) ]
 
@@ -75,15 +75,16 @@ let () =
   ignore
     (await cluster ~fe:0
        (Txn.read_write
-          [ ("acct:A", Txn.Put (Value.int 150));
-            ("acct:B", Txn.Put (Value.int 100)) ]));
+          [ ("acct:A", Kernel.Txn.Put (Value.int 150));
+            ("acct:B", Kernel.Txn.Put (Value.int 100)) ]));
   show cluster "after T1 (deposit):";
 
   (* T2: transfer $100 from A to B, unconditionally (SUB/ADD functors). *)
   ignore
     (await cluster ~fe:1
        (Txn.read_write
-          [ ("acct:A", Txn.Subtr 100); ("acct:B", Txn.Add 100) ]));
+          [ ("acct:A", Kernel.Txn.Subtr 100);
+            ("acct:B", Kernel.Txn.Add 100) ]));
   show cluster "after T2 (transfer 100):";
 
   (* T3: transfer $100 from A to B only if A keeps a non-negative

@@ -42,7 +42,7 @@ let () =
         Cluster.submit cluster ~fe:(i mod 3)
           (Txn.read_write
              [ ("order:counter",
-                Txn.Det
+                Kernel.Txn.Det
                   { handler = "place_order";
                     read_set = [ "order:counter" ];
                     args = [ Value.str (Printf.sprintf "customer-%d" i) ];

@@ -30,8 +30,8 @@ let () =
   (match
      await cluster ~fe:0
        (Txn.read_write
-          [ ("acct:alice", Txn.Put (Value.int 150));
-            ("acct:bob", Txn.Put (Value.int 100)) ])
+          [ ("acct:alice", Kernel.Txn.Put (Value.int 150));
+            ("acct:bob", Kernel.Txn.Put (Value.int 100)) ])
    with
   | Txn.Committed { ts } ->
       Format.printf "initial deposit committed at %a@."
@@ -43,7 +43,8 @@ let () =
   (match
      await cluster ~fe:1
        (Txn.read_write
-          [ ("acct:alice", Txn.Subtr 50); ("acct:bob", Txn.Add 50) ])
+          [ ("acct:alice", Kernel.Txn.Subtr 50);
+            ("acct:bob", Kernel.Txn.Add 50) ])
    with
   | Txn.Committed _ -> Format.printf "transfer committed@."
   | r -> Format.printf "unexpected: %a@." Txn.pp_result r);

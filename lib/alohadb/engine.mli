@@ -5,7 +5,8 @@
     epoch participant hooks) can build the cluster natively and still run
     it through the generic [Kernel.Run] loop.
 
-    Transactions execute from their [functor_form] facet: [Det] ops keep
+    Transactions execute from their [functor_form] facet, handed to the
+    cluster by reference as a {!Txn.Read_write} request: [Det] ops keep
     the §IV-E dynamic dependent-write scheme. *)
 
 include Kernel.Intf.ENGINE with type cluster = Cluster.t

@@ -106,34 +106,34 @@ let fspec_of_op ~key:_ ~recipients ?(pushed_reads = []) op =
     { farg with Functor_cc.Funct.recipients; pushed_reads }
   in
   match op with
-  | Txn.Put v -> fspec_value v
-  | Txn.Delete -> fspec_delete
-  | Txn.Add n ->
+  | Kernel.Txn.Put v -> fspec_value v
+  | Kernel.Txn.Delete -> fspec_delete
+  | Kernel.Txn.Add n ->
       { ftype = Functor_cc.Ftype.Add;
         farg =
           with_recipients
             (Functor_cc.Funct.farg_args [ Functor_cc.Value.int n ]) }
-  | Txn.Subtr n ->
+  | Kernel.Txn.Subtr n ->
       { ftype = Functor_cc.Ftype.Subtr;
         farg =
           with_recipients
             (Functor_cc.Funct.farg_args [ Functor_cc.Value.int n ]) }
-  | Txn.Max n ->
+  | Kernel.Txn.Max n ->
       { ftype = Functor_cc.Ftype.Max;
         farg =
           with_recipients
             (Functor_cc.Funct.farg_args [ Functor_cc.Value.int n ]) }
-  | Txn.Min n ->
+  | Kernel.Txn.Min n ->
       { ftype = Functor_cc.Ftype.Min;
         farg =
           with_recipients
             (Functor_cc.Funct.farg_args [ Functor_cc.Value.int n ]) }
-  | Txn.Call { handler; read_set; args } ->
+  | Kernel.Txn.Call { handler; read_set; args } ->
       { ftype = Functor_cc.Ftype.User handler;
         farg =
           { Functor_cc.Funct.read_set = List.map Mvstore.Key.intern read_set;
             args; recipients; dependents = []; pushed_reads } }
-  | Txn.Det { handler; read_set; args; dependents } ->
+  | Kernel.Txn.Det { handler; read_set; args; dependents } ->
       { ftype = Functor_cc.Ftype.User handler;
         farg =
           { Functor_cc.Funct.read_set = List.map Mvstore.Key.intern read_set;

@@ -120,7 +120,7 @@ val fspec_value : Functor_cc.Value.t -> fspec
 val fspec_delete : fspec
 val fspec_of_op :
   key:Mvstore.Key.t -> recipients:Mvstore.Key.t list ->
-  ?pushed_reads:Mvstore.Key.t list -> Txn.op -> fspec
+  ?pushed_reads:Mvstore.Key.t list -> Kernel.Txn.op -> fspec
 (** Transform one transaction write into its functor spec (§IV-B
     "Transforming a transaction to functors").  [Call]/[Det] read sets
     and dependents arrive as client-facing strings and are interned

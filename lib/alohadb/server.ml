@@ -426,14 +426,10 @@ let groups_of_writes t writes =
   let cross_reads =
     List.exists
       (fun (key, op) ->
-        match op with
-        | Txn.Call { read_set; _ } | Txn.Det { read_set; _ } ->
-            List.exists (fun rk -> not (String.equal rk (Key.name key)))
-              read_set
-        | Txn.Put _ | Txn.Delete | Txn.Add _ | Txn.Subtr _ | Txn.Max _
-        | Txn.Min _ ->
-            false)
-      kwrites
+        List.exists
+          (fun rk -> not (String.equal rk key))
+          (Kernel.Txn.op_read_set key op))
+      writes
   in
   let written_keys = List.map fst kwrites in
   List.iter
@@ -454,13 +450,6 @@ let groups_of_writes t writes =
       let pushed_reads =
         if not (t.config.push_opt && cross_reads) then []
         else
-          let reads =
-            match op with
-            | Txn.Call { read_set; _ } | Txn.Det { read_set; _ } -> read_set
-            | Txn.Put _ | Txn.Delete | Txn.Add _ | Txn.Subtr _ | Txn.Max _
-            | Txn.Min _ ->
-                []
-          in
           List.filter_map
             (fun rk ->
               let rk = Key.intern rk in
@@ -470,21 +459,19 @@ let groups_of_writes t writes =
                 && List.exists (Key.equal rk) written_keys
               then Some rk
               else None)
-            reads
+            (Kernel.Txn.op_read_set (Key.name key) op)
       in
       push key_partition
         (key, Message.fspec_of_op ~key ~recipients ~pushed_reads op);
       match op with
-      | Txn.Det { dependents; _ } ->
+      | Kernel.Txn.Det { dependents; _ } ->
           List.iter
             (fun dk ->
               let dk = Key.intern dk in
               push (t.partition_of dk)
                 (dk, Message.fspec_dep_marker ~det_key:key))
             dependents
-      | Txn.Put _ | Txn.Delete | Txn.Add _ | Txn.Subtr _ | Txn.Max _
-      | Txn.Min _ | Txn.Call _ ->
-          ())
+      | Put _ | Delete | Add _ | Subtr _ | Max _ | Min _ | Call _ -> ())
     kwrites;
   Hashtbl.fold (fun partition entries acc -> (partition, List.rev !entries) :: acc)
     tbl []
@@ -640,8 +627,7 @@ let start_fast t ~groups ~ack:_ reply w ts ~issued_at =
 
 let rec submit t req reply =
   match req with
-  | Txn.Read_write { writes; precondition_keys; ack } ->
-      submit_rw t (writes, precondition_keys, ack) reply
+  | Txn.Read_write { desc; ack } -> submit_rw t (desc, ack) reply
   | Txn.Read_only { keys } -> submit_ro t keys reply
   | Txn.Read_at { keys; version } -> run_read t keys version reply
 
@@ -660,7 +646,8 @@ and retry_rw t rw reply ~submitted_at =
   | None -> hold t (fun () -> retry_rw t rw reply ~submitted_at)
   | Some (w, ts) -> start_rw t rw reply w ts ~submitted_at
 
-and start_rw t (writes, precondition_keys, ack) reply w ts ~submitted_at =
+and start_rw t ({ Kernel.Txn.writes; precondition_keys }, ack) reply w ts
+    ~submitted_at =
   let issued_at = now t in
   emit t ~txn:(Ts.to_int ts) ~stage:Obs.Trace.Submit ~ts:submitted_at ();
   emit t ~txn:(Ts.to_int ts) ~stage:Obs.Trace.Epoch_assign

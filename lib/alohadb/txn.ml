@@ -1,30 +1,7 @@
-type op =
-  | Put of Functor_cc.Value.t
-  | Delete
-  | Add of int
-  | Subtr of int
-  | Max of int
-  | Min of int
-  | Call of {
-      handler : string;
-      read_set : string list;
-      args : Functor_cc.Value.t list;
-    }
-  | Det of {
-      handler : string;
-      read_set : string list;
-      args : Functor_cc.Value.t list;
-      dependents : string list;
-    }
-
 type ack_mode = Ack_on_install | Ack_on_computed
 
 type request =
-  | Read_write of {
-      writes : (string * op) list;
-      precondition_keys : string list;
-      ack : ack_mode;
-    }
+  | Read_write of { desc : Kernel.Txn.desc; ack : ack_mode }
   | Read_only of { keys : string list }
   | Read_at of { keys : string list; version : int }
 
@@ -36,15 +13,10 @@ type result =
     }
   | Values of (string * Functor_cc.Value.t option) list
 
-let read_write ?(precondition_keys = []) ?(ack = Ack_on_computed) writes =
-  Read_write { writes; precondition_keys; ack }
+let read_write ?precondition_keys ?(ack = Ack_on_computed) writes =
+  Read_write { desc = Kernel.Txn.desc ?precondition_keys writes; ack }
 
-let op_read_set key = function
-  | Put _ | Delete -> []
-  | Add _ | Subtr _ | Max _ | Min _ -> [ key ]
-  | Call { read_set; _ } | Det { read_set; _ } -> read_set
-
-let op_commutative = function
+let op_commutative : Kernel.Txn.op -> bool = function
   | Add _ | Subtr _ | Max _ | Min _ -> true
   | Put _ | Delete | Call _ | Det _ -> false
 
@@ -53,22 +25,11 @@ let all_commutative ~writes ~precondition_keys =
   && writes <> []
   && List.for_all (fun (_, op) -> op_commutative op) writes
 
-let write_keys = function
-  | Read_only _ | Read_at _ -> []
-  | Read_write { writes; _ } ->
-      List.concat_map
-        (fun (key, op) ->
-          match op with
-          | Det { dependents; _ } -> key :: dependents
-          | Put _ | Delete | Add _ | Subtr _ | Max _ | Min _ | Call _ ->
-              [ key ])
-        writes
-
 let recipients_for writes key =
   List.filter_map
     (fun (wkey, op) ->
       if (not (String.equal wkey key))
-         && List.exists (String.equal key) (op_read_set wkey op)
+         && List.exists (String.equal key) (Kernel.Txn.op_read_set wkey op)
       then Some wkey
       else None)
     writes

@@ -2,35 +2,16 @@
 
     Transactions are one-shot: the read set, write set and arguments are
     known when the transaction is submitted (Calvin has the same
-    restriction).  A read-write transaction is a list of per-key write
-    operations; each operation is transformed by the frontend into one
-    functor.  Dependent transactions use {!Det} operations (the §IV-E
-    key-dependency method) or are executed optimistically by the client
-    with {!Functor_cc.Optimistic}.
+    restriction).  A read-write transaction is an engine-neutral
+    {!Kernel.Txn.desc}: a list of per-key {!Kernel.Txn.op}s, each
+    transformed by the frontend into one functor.  Dependent transactions
+    use [Kernel.Txn.Det] operations (the §IV-E key-dependency method) or
+    are executed optimistically by the client with
+    {!Functor_cc.Optimistic}.
 
     Read-only transactions at the latest version are delayed to the next
     epoch and served as historical reads (§III-B); reads at an explicit
     historical timestamp execute immediately. *)
-
-type op =
-  | Put of Functor_cc.Value.t  (** blind write (f-type VALUE) *)
-  | Delete  (** tombstone (f-type DELETED) *)
-  | Add of int  (** numeric increment (f-type ADD) *)
-  | Subtr of int
-  | Max of int
-  | Min of int
-  | Call of {
-      handler : string;  (** registered user f-type *)
-      read_set : string list;
-      args : Functor_cc.Value.t list;
-    }
-  | Det of {
-      handler : string;
-      read_set : string list;
-      args : Functor_cc.Value.t list;
-      dependents : string list;
-          (** dependent keys this determinate functor may write *)
-    }
 
 type ack_mode =
   | Ack_on_install  (** acknowledge when the write-only phase commits *)
@@ -38,13 +19,10 @@ type ack_mode =
                          value — the latency the paper reports *)
 
 type request =
-  | Read_write of {
-      writes : (string * op) list;
-      precondition_keys : string list;
-          (** keys that must exist on their partition for the write-only
-              phase to succeed (drives TPC-C's 1 % NewOrder aborts) *)
-      ack : ack_mode;
-    }
+  | Read_write of { desc : Kernel.Txn.desc; ack : ack_mode }
+      (** [desc.precondition_keys] must exist on their partition for the
+          write-only phase to succeed (drives TPC-C's 1 % NewOrder
+          aborts) *)
   | Read_only of { keys : string list }  (** latest version *)
   | Read_at of { keys : string list; version : int }  (** historical *)
 
@@ -58,26 +36,23 @@ type result =
 
 val read_write :
   ?precondition_keys:string list -> ?ack:ack_mode ->
-  (string * op) list -> request
+  (string * Kernel.Txn.op) list -> request
 (** Convenience constructor; [ack] defaults to [Ack_on_computed]. *)
 
-val write_keys : request -> string list
-(** Keys written by the request, including declared dependents (empty for
-    reads). *)
-
-val op_commutative : op -> bool
+val op_commutative : Kernel.Txn.op -> bool
 (** True for the arithmetic built-ins ([Add]/[Subtr]/[Max]/[Min]): their
     functors read only their own key and fold commutatively, so any
     install order converges to the same value. *)
 
 val all_commutative :
-  writes:(string * op) list -> precondition_keys:string list -> bool
+  writes:(string * Kernel.Txn.op) list -> precondition_keys:string list ->
+  bool
 (** The fast-path classifier: a non-empty write set of commutative
     built-ins with no precondition keys.  Such a transaction needs no
     epoch-close ordering — it can commit as soon as every partition has
     installed its functors. *)
 
-val recipients_for : (string * op) list -> string -> string list
+val recipients_for : (string * Kernel.Txn.op) list -> string -> string list
 (** §IV-B recipient-set computation: the keys among [writes] whose functor
     read set contains the given key. *)
 

@@ -1,4 +1,5 @@
-(** Calvin behind the {!Kernel.Intf.ENGINE} signature.
+(** Calvin behind the {!Kernel.Intf.ENGINE} signature: the adapter half
+    of {!Deploy.Make}, shared with 2PL.
 
     Transactions execute from their [static_form] facet, the only one
     Calvin builds (facets are built on demand, so the ALOHA facet is

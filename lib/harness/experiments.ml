@@ -55,23 +55,26 @@ let fmt_tps tps = Printf.sprintf "tps=%-9.0f" tps
 
 let fmt_lat r =
   Printf.sprintf "lat_ms=%-7.2f p99_ms=%-7.2f"
-    (r.Driver.lat_mean_us /. 1000.0)
-    (float_of_int r.Driver.lat_p99_us /. 1000.0)
+    (r.Kernel.Result.lat_mean_us /. 1000.0)
+    (float_of_int r.Kernel.Result.lat_p99_us /. 1000.0)
 
 (* Structured row helpers: print the human-readable line and record the
    same point for BENCH_macro.json. *)
 
-let lat_mean_ms r = r.Driver.lat_mean_us /. 1000.0
-let lat_p99_ms r = float_of_int r.Driver.lat_p99_us /. 1000.0
+let lat_mean_ms r = r.Kernel.Result.lat_mean_us /. 1000.0
+let lat_p99_ms r = float_of_int r.Kernel.Result.lat_p99_us /. 1000.0
 
 let row_tps_lat fig ~series ~point ?(extra = []) r =
-  Report.record_point ~fig ~series ~point ~tps:r.Driver.throughput_tps
+  Report.record_point ~fig ~series ~point ~tps:r.Kernel.Result.throughput_tps
     ~lat_mean_ms:(lat_mean_ms r) ~lat_p99_ms:(lat_p99_ms r) ();
-  row fig ([ series; point; fmt_tps r.Driver.throughput_tps; fmt_lat r ] @ extra)
+  row fig
+    ([ series; point; fmt_tps r.Kernel.Result.throughput_tps; fmt_lat r ]
+    @ extra)
 
 let row_tps fig ~series ~point ?(extra = []) r =
-  Report.record_point ~fig ~series ~point ~tps:r.Driver.throughput_tps ();
-  row fig ([ series; point; fmt_tps r.Driver.throughput_tps ] @ extra)
+  Report.record_point ~fig ~series ~point
+    ~tps:r.Kernel.Result.throughput_tps ();
+  row fig ([ series; point; fmt_tps r.Kernel.Result.throughput_tps ] @ extra)
 
 let row_lat fig ~series ~point r =
   Report.record_point ~fig ~series ~point ~lat_mean_ms:(lat_mean_ms r)
@@ -112,7 +115,7 @@ let run_point ?epoch_us ?compute ~engine ~n ~workload ~arrival scale =
           ?compute ()
     | YCSB { ci } -> Setup.ycsb ~engine ~n ~ci ?epoch_us ?compute ()
   in
-  Driver.run built ~arrival ~warmup_us:scale.warmup_us
+  Setup.run built ~arrival ~warmup_us:scale.warmup_us
     ~measure_us:scale.measure_us ()
 
 let peak ?compute ~engine ~n ~workload scale =
@@ -142,7 +145,9 @@ let fig6 scale =
       row_tps_lat "fig6" ~series:name ~point:"peak(closed)" peak_r;
       List.iter
         (fun f ->
-          let rate = peak_r.Driver.throughput_tps *. f /. float_of_int n in
+          let rate =
+            peak_r.Kernel.Result.throughput_tps *. f /. float_of_int n
+          in
           if rate >= 1.0 then begin
             let arrival = Kernel.Arrivals.Open_poisson { rate_per_fe = rate } in
             let r = run_point ~engine ~n ~workload ~arrival scale in
@@ -235,7 +240,9 @@ let fig9 scale =
 (* ---- Figure 10: latency breakdown --------------------------------------- *)
 
 let print_stages fig name r =
-  let total = List.fold_left (fun acc (_, v) -> acc +. v) 0.0 r.Driver.stages in
+  let total =
+    List.fold_left (fun acc (_, v) -> acc +. v) 0.0 r.Kernel.Result.stages
+  in
   let total = if total <= 0.0 then 1.0 else total in
   List.iter
     (fun (stage, (st : Kernel.Result.stage_stat)) ->
@@ -246,7 +253,7 @@ let print_stages fig name r =
           Printf.sprintf "(%.2f ms)" (st.mean_us /. 1000.0);
           Printf.sprintf "p99 %.2f ms" (float_of_int st.p99_us /. 1000.0);
           Printf.sprintf "p999 %.2f ms" (float_of_int st.p999_us /. 1000.0) ])
-    r.Driver.stage_stats
+    r.Kernel.Result.stage_stats
 
 let fig10 scale =
   let n = 8 in
@@ -376,7 +383,7 @@ let ablation_straggler scale =
          the whole cycle and the system keeps up.  Windows span ~10 switch
          cycles so the close-burst quantisation averages out. *)
       let r =
-        Driver.run_engine
+        Kernel.Run.run
           (module Alohadb.Engine)
           ~cluster:c
           ~gen:(fun ~fe -> Workload.Ycsb.gen gen ~fe)
@@ -386,7 +393,8 @@ let ablation_straggler scale =
       ignore scale;
       let m = Alohadb.Cluster.metrics c in
       row "ablation-straggler"
-        [ (if opt then "on " else "off"); fmt_tps r.Driver.throughput_tps;
+        [ (if opt then "on " else "off");
+          fmt_tps r.Kernel.Result.throughput_tps;
           fmt_lat r;
           Printf.sprintf "noauth_starts=%d"
             (Sim.Metrics.get m "aloha.noauth_starts") ])
@@ -445,7 +453,7 @@ let ablation_push scale =
                  args = [ Value.int 10 ] }) ]
       in
       let r =
-        Driver.run_engine
+        Kernel.Run.run
           (module Alohadb.Engine)
           ~cluster:c ~gen
           ~arrival:
@@ -454,7 +462,8 @@ let ablation_push scale =
       in
       let m = Alohadb.Cluster.metrics c in
       row "ablation-push"
-        [ (if opt then "on " else "off"); fmt_tps r.Driver.throughput_tps;
+        [ (if opt then "on " else "off");
+          fmt_tps r.Kernel.Result.throughput_tps;
           fmt_lat r;
           Printf.sprintf "remote_reads=%d" (Sim.Metrics.get m "fcc.remote_reads");
           Printf.sprintf "push_hits=%d" (Sim.Metrics.get m "fcc.push_hits") ])
@@ -515,7 +524,7 @@ let ablation_dependent scale =
                dependents = [ receipt ] }) ]
     in
     let r =
-      Driver.run_engine
+      Kernel.Run.run
         (module Alohadb.Engine)
         ~cluster:c ~gen
         ~arrival:
@@ -524,7 +533,7 @@ let ablation_dependent scale =
         ~warmup_us:scale.warmup_us ~measure_us:scale.measure_us ()
     in
     row "ablation-dependent"
-      [ "determinate"; fmt_tps r.Driver.throughput_tps;
+      [ "determinate"; fmt_tps r.Kernel.Result.throughput_tps;
         Printf.sprintf "aborted=%d" (Kernel.Result.abort r "compute");
         fmt_lat r ]
   in
@@ -555,7 +564,7 @@ let ablation_dependent scale =
                 Alohadb.Cluster.submit c ~fe
                   (Alohadb.Txn.read_write
                      [ (acct,
-                        Alohadb.Txn.Call
+                        Kernel.Txn.Call
                           { handler = Functor_cc.Optimistic.handler_name;
                             read_set = [ acct ];
                             args =
@@ -604,14 +613,16 @@ let ext_conventional scale =
         (fun (name, engine) ->
           let r = peak ~engine ~n ~workload:(YCSB { ci }) scale in
           let diagnostics =
-            match r.Driver.counters with
+            match r.Kernel.Result.counters with
             | [] -> ""
             | counters ->
                 String.concat " "
                   (List.map
                      (fun (label, v) -> Printf.sprintf "%s=%d" label v)
                      (counters
-                      @ List.filter (fun (_, v) -> v > 0) r.Driver.aborts))
+                      @ List.filter
+                          (fun (_, v) -> v > 0)
+                          r.Kernel.Result.aborts))
           in
           row_tps "ext-conventional"
             ~series:(Printf.sprintf "%-6s" name)

@@ -28,6 +28,11 @@ let build (type k) (Kernel.Intf.Pack (module E))
   let gen = W.generator cfg ~n_servers:n ~seed in
   Built ((module E), c, gen)
 
+let run (Built ((module E), cluster, gen)) ~arrival ?obs ?warmup_us
+    ?measure_us ?seed () =
+  Kernel.Run.run (module E) ~cluster ~gen ~arrival ?obs ?warmup_us
+    ?measure_us ?seed ()
+
 let tpcc ~engine ~n ~warehouses_per_host ~kind ?epoch_us ?obs ?compute
     ?replicas ?fastpath ?seed () =
   let cfg = Workload.Tpcc.default_cfg ~n_servers:n ~warehouses_per_host in

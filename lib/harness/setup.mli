@@ -4,7 +4,7 @@
     creates the engine's cluster, registers the workload's handlers,
     loads the initial data, starts the cluster, and pairs it with the
     workload's request generator.  The result is a {!built} existential
-    ready for {!Driver.run}.  [compute] selects an engine-specific
+    ready for {!run}.  [compute] selects an engine-specific
     compute-phase mode (ALOHA: "ondemand" / "pool" / "planned"). *)
 
 type built =
@@ -37,7 +37,20 @@ val build :
 (** [build engine workload cfg ~n] — create, register, load, start.
     [seed] (default 17) seeds the workload generator.  [obs] threads an
     observability handle into the engine's cluster (pass the same handle
-    to {!Driver.run}). *)
+    to {!run}). *)
+
+val run :
+  built ->
+  arrival:Kernel.Arrivals.t ->
+  ?obs:Obs.Ctl.t ->
+  ?warmup_us:int ->
+  ?measure_us:int ->
+  ?seed:int ->
+  unit ->
+  Kernel.Result.t
+(** Drive a built deployment through {!Kernel.Run.run}: warm-up window,
+    metrics reset, measurement window, result extracted through the
+    engine's declared metric keys. *)
 
 (* -- convenience wrappers over the bundled workloads -- *)
 

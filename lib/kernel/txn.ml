@@ -46,14 +46,13 @@ let dual ~functor_form ~static_form = { functor_form; static_form }
 let functor_form t = Lazy.force t.functor_form
 let static_form t = Lazy.force t.static_form
 
+let op_read_set key = function
+  | Put _ | Delete -> []
+  | Add _ | Subtr _ | Max _ | Min _ -> [ key ]
+  | Call { read_set; _ } | Det { read_set; _ } -> read_set
+
 let read_set d =
-  List.concat_map
-    (fun (key, op) ->
-      match op with
-      | Put _ | Delete -> []
-      | Add _ | Subtr _ | Max _ | Min _ -> [ key ]
-      | Call { read_set; _ } | Det { read_set; _ } -> read_set)
-    d.writes
+  List.concat_map (fun (key, op) -> op_read_set key op) d.writes
   |> List.sort_uniq String.compare
 
 let write_keys d =

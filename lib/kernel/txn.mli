@@ -77,9 +77,13 @@ val dual : functor_form:desc Lazy.t -> static_form:desc Lazy.t -> t
 val functor_form : t -> desc
 val static_form : t -> desc
 
+val op_read_set : string -> op -> string list
+(** Keys one op on the given key reads: arithmetic ops read their own
+    key; [Call]/[Det] read their declared read sets; [Put]/[Delete] read
+    nothing. *)
+
 val read_set : desc -> string list
-(** Sorted, deduplicated keys the description reads: arithmetic ops read
-    their own key; [Call]/[Det] read their declared read sets. *)
+(** Sorted, deduplicated {!op_read_set}s of every op. *)
 
 val write_keys : desc -> string list
 (** Sorted, deduplicated keys the description may write, including [Det]

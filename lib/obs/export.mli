@@ -7,6 +7,11 @@
     series a counter ("C") track, with one process per simulated node and
     one thread per transaction shard. *)
 
+val jescape : string -> string
+(** Escape a string for a JSON string literal: quote, backslash, newline
+    and tab by name, other control characters as [\u00XX].  The one
+    escaper behind every JSON file the repo writes. *)
+
 val chrome_trace :
   ?engine:string -> ?shards:int -> trace:Trace.t -> gauges:Gauges.t option ->
   unit -> string

@@ -1,4 +1,5 @@
-(** 2PL/2PC behind the {!Kernel.Intf.ENGINE} signature.
+(** 2PL/2PC behind the {!Kernel.Intf.ENGINE} signature: the adapter half
+    of {!Calvin.Deploy.Make}, shared with Calvin.
 
     Shares Calvin's transaction lowering: only the static facet is built
     (facets are built on demand), and {!Calvin.Ctxn.of_txn} hands its

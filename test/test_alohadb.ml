@@ -54,8 +54,8 @@ let test_blind_write () =
   let r =
     go 0
       (Txn.read_write
-         [ ("acct:A", Txn.Put (Value.int 150));
-           ("acct:B", Txn.Put (Value.int 100)) ])
+         [ ("acct:A", Kernel.Txn.Put (Value.int 150));
+           ("acct:B", Kernel.Txn.Put (Value.int 100)) ])
   in
   ignore (commit_exn r);
   let kvs = values_exn (go 0 (Txn.Read_only { keys = [ "acct:A"; "acct:B" ] })) in
@@ -70,13 +70,14 @@ let test_transfer () =
     (commit_exn
        (go 0
           (Txn.read_write
-             [ ("acct:A", Txn.Put (Value.int 150));
-               ("acct:B", Txn.Put (Value.int 100)) ])));
+             [ ("acct:A", Kernel.Txn.Put (Value.int 150));
+               ("acct:B", Kernel.Txn.Put (Value.int 100)) ])));
   ignore
     (commit_exn
        (go 1
           (Txn.read_write
-             [ ("acct:A", Txn.Subtr 100); ("acct:B", Txn.Add 100) ])));
+             [ ("acct:A", Kernel.Txn.Subtr 100);
+               ("acct:B", Kernel.Txn.Add 100) ])));
   let kvs = values_exn (go 0 (Txn.Read_only { keys = [ "acct:A"; "acct:B" ] })) in
   Alcotest.(check int) "A" 50 (int_of kvs "acct:A");
   Alcotest.(check int) "B" 200 (int_of kvs "acct:B")
@@ -111,12 +112,12 @@ let registry_with_transfer () =
 let conditional_transfer amount =
   Txn.read_write
     [ ("acct:A",
-       Txn.Call
+       Kernel.Txn.Call
          { handler = "guarded_transfer";
            read_set = [ "acct:A" ];
            args = [ Value.int amount; Value.int (-amount) ] });
       ("acct:B",
-       Txn.Call
+       Kernel.Txn.Call
          { handler = "guarded_transfer";
            read_set = [ "acct:A"; "acct:B" ];
            args = [ Value.int amount; Value.int amount ] }) ]
@@ -128,8 +129,8 @@ let test_conditional_transfer_abort () =
     (commit_exn
        (go 0
           (Txn.read_write
-             [ ("acct:A", Txn.Put (Value.int 150));
-               ("acct:B", Txn.Put (Value.int 100)) ])));
+             [ ("acct:A", Kernel.Txn.Put (Value.int 150));
+               ("acct:B", Kernel.Txn.Put (Value.int 100)) ])));
   (* First transfer succeeds (A = 150 >= 100)... *)
   ignore (commit_exn (go 1 (conditional_transfer 100)));
   (* ...second aborts (A = 50 < 100), exactly as in Figure 5. *)
@@ -147,13 +148,13 @@ let test_install_abort_rolls_back () =
   let go = await c in
   ignore
     (commit_exn
-       (go 0 (Txn.read_write [ ("acct:A", Txn.Put (Value.int 150)) ])));
+       (go 0 (Txn.read_write [ ("acct:A", Kernel.Txn.Put (Value.int 150)) ])));
   (match
      go 0
        (Txn.read_write
           ~precondition_keys:[ "missing:item" ]
-          [ ("acct:A", Txn.Put (Value.int 999));
-            ("missing:item", Txn.Put (Value.int 1)) ])
+          [ ("acct:A", Kernel.Txn.Put (Value.int 999));
+            ("missing:item", Kernel.Txn.Put (Value.int 1)) ])
    with
   | Txn.Aborted { stage = `Install; _ } -> ()
   | r -> Alcotest.failf "expected install abort, got %a" Txn.pp_result r);
@@ -183,7 +184,7 @@ let registry_with_det () =
 let det_txn threshold =
   Txn.read_write
     [ ("det:A",
-       Txn.Det
+       Kernel.Txn.Det
          { handler = "det_conditional";
            read_set = [ "det:A" ];
            args = [ Value.int threshold ];
@@ -194,7 +195,7 @@ let test_dependent_write_taken () =
   let go = await c in
   ignore
     (commit_exn
-       (go 0 (Txn.read_write [ ("det:A", Txn.Put (Value.int 100)) ])));
+       (go 0 (Txn.read_write [ ("det:A", Kernel.Txn.Put (Value.int 100)) ])));
   ignore (commit_exn (go 0 (det_txn 60)));
   let kvs =
     values_exn (go 1 (Txn.Read_only { keys = [ "det:A"; "dep:B" ] }))
@@ -209,8 +210,8 @@ let test_dependent_write_skipped () =
     (commit_exn
        (go 0
           (Txn.read_write
-             [ ("det:A", Txn.Put (Value.int 100));
-               ("dep:B", Txn.Put (Value.int 7)) ])));
+             [ ("det:A", Kernel.Txn.Put (Value.int 100));
+               ("dep:B", Kernel.Txn.Put (Value.int 7)) ])));
   ignore (commit_exn (go 0 (det_txn 500)));
   let kvs =
     values_exn (go 1 (Txn.Read_only { keys = [ "det:A"; "dep:B" ] }))
@@ -223,9 +224,9 @@ let test_historical_read () =
   let c = mk_cluster () in
   let go = await c in
   let ts1 =
-    commit_exn (go 0 (Txn.read_write [ ("k", Txn.Put (Value.int 1)) ]))
+    commit_exn (go 0 (Txn.read_write [ ("k", Kernel.Txn.Put (Value.int 1)) ]))
   in
-  ignore (commit_exn (go 0 (Txn.read_write [ ("k", Txn.Put (Value.int 2)) ])));
+  ignore (commit_exn (go 0 (Txn.read_write [ ("k", Kernel.Txn.Put (Value.int 2)) ])));
   let kvs =
     values_exn
       (go 1
@@ -245,8 +246,8 @@ let test_read_absent_key () =
 let test_delete () =
   let c = mk_cluster () in
   let go = await c in
-  ignore (commit_exn (go 0 (Txn.read_write [ ("k", Txn.Put (Value.int 5)) ])));
-  ignore (commit_exn (go 0 (Txn.read_write [ ("k", Txn.Delete) ])));
+  ignore (commit_exn (go 0 (Txn.read_write [ ("k", Kernel.Txn.Put (Value.int 5)) ])));
+  ignore (commit_exn (go 0 (Txn.read_write [ ("k", Kernel.Txn.Delete) ])));
   let kvs = values_exn (go 0 (Txn.Read_only { keys = [ "k" ] })) in
   (match List.assoc "k" kvs with
   | None -> ()
@@ -258,7 +259,7 @@ let test_ack_on_install () =
   let r =
     go 0
       (Txn.read_write ~ack:Txn.Ack_on_install
-         [ ("k", Txn.Put (Value.int 5)) ])
+         [ ("k", Kernel.Txn.Put (Value.int 5)) ])
   in
   ignore (commit_exn r)
 

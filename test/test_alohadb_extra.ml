@@ -47,8 +47,8 @@ let test_clock_skew_conservation () =
       Sim.Engine.schedule sim ~at:(500 + (i * 700)) (fun () ->
           Cluster.submit c ~fe:(i mod 3)
             (Txn.read_write
-               [ (Printf.sprintf "skew:%d" src, Txn.Subtr 7);
-                 (Printf.sprintf "skew:%d" dst, Txn.Add 7) ])
+               [ (Printf.sprintf "skew:%d" src, Kernel.Txn.Subtr 7);
+                 (Printf.sprintf "skew:%d" dst, Kernel.Txn.Add 7) ])
             (fun _ -> decr outstanding))
     else decr outstanding
   done;
@@ -78,7 +78,7 @@ let test_same_epoch_read_sees_write () =
   Sim.Engine.run ~until:2_000 sim;
   let write_done = ref false and read_result = ref None in
   Cluster.submit c ~fe:0
-    (Txn.read_write ~ack:Txn.Ack_on_install [ ("v", Txn.Put (Value.int 2)) ])
+    (Txn.read_write ~ack:Txn.Ack_on_install [ ("v", Kernel.Txn.Put (Value.int 2)) ])
     (fun _ -> write_done := true);
   (* Same instant, same epoch: the read's timestamp is assigned after the
      write's on the same FE clock. *)
@@ -100,7 +100,7 @@ let test_requests_held_until_first_epoch () =
   let result = ref None in
   (* Submit BEFORE Cluster.start: no authorization exists yet. *)
   Cluster.submit c ~fe:0
-    (Txn.read_write [ ("h", Txn.Add 1) ])
+    (Txn.read_write [ ("h", Kernel.Txn.Add 1) ])
     (fun r -> result := Some r);
   Alcotest.(check int) "held" 1
     (Alohadb.Server.held_requests (Cluster.server c 0));
@@ -134,7 +134,7 @@ let test_optimistic_flow () =
           Cluster.submit c ~fe
             (Txn.read_write
                [ ("occ",
-                  Txn.Call
+                  Kernel.Txn.Call
                     { handler = Functor_cc.Optimistic.handler_name;
                       read_set = [ "occ" ];
                       args =
@@ -162,7 +162,7 @@ let test_optimistic_flow () =
 let test_single_server_cluster () =
   let c = Cluster.create { Cluster.default_options with n_servers = 1 } in
   Cluster.start c;
-  ignore (commit_exn (await c 0 (Txn.read_write [ ("x", Txn.Put (Value.int 3)) ])));
+  ignore (commit_exn (await c 0 (Txn.read_write [ ("x", Kernel.Txn.Put (Value.int 3)) ])));
   match await c 0 (Txn.Read_only { keys = [ "x" ] }) with
   | Txn.Values [ (_, Some v) ] -> Alcotest.(check int) "value" 3 (Value.to_int v)
   | r -> Alcotest.failf "unexpected %a" Txn.pp_result r
@@ -182,8 +182,8 @@ let test_twenty_server_cluster () =
     Sim.Engine.schedule sim ~at:(1_000 + (i * 100)) (fun () ->
         Cluster.submit c ~fe:i
           (Txn.read_write
-             [ (Printf.sprintf "w:%d:k" i, Txn.Add 1);
-               (Printf.sprintf "w:%d:k" ((i + 7) mod 20), Txn.Add 1) ])
+             [ (Printf.sprintf "w:%d:k" i, Kernel.Txn.Add 1);
+               (Printf.sprintf "w:%d:k" ((i + 7) mod 20), Kernel.Txn.Add 1) ])
           (function
             | Txn.Committed _ -> incr done_count
             | r -> Alcotest.failf "unexpected %a" Txn.pp_result r))
@@ -201,7 +201,7 @@ let test_increment_storm () =
   for i = 0 to 1_999 do
     Sim.Engine.schedule sim ~at:(500 + (i * 40)) (fun () ->
         Cluster.submit c ~fe:(i mod 4)
-          (Txn.read_write [ ("storm", Txn.Add 1) ])
+          (Txn.read_write [ ("storm", Kernel.Txn.Add 1) ])
           (fun _ -> incr resolved))
   done;
   Sim.Engine.run ~until:500_000 sim;

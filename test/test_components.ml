@@ -73,7 +73,7 @@ let test_processor_release_by_epoch () =
 
 let test_fspec_of_op_shapes () =
   let spec =
-    Message.fspec_of_op ~key:(ik "k") ~recipients:[ ik "r" ] (Txn.Add 5)
+    Message.fspec_of_op ~key:(ik "k") ~recipients:[ ik "r" ] (Kernel.Txn.Add 5)
   in
   Alcotest.(check bool) "ADD ftype" true
     (Ftype.equal spec.Message.ftype Ftype.Add);
@@ -81,7 +81,7 @@ let test_fspec_of_op_shapes () =
     (names spec.Message.farg.Funct.recipients);
   let call =
     Message.fspec_of_op ~key:(ik "k") ~recipients:[] ~pushed_reads:[ ik "a" ]
-      (Txn.Call { handler = "h"; read_set = [ "a"; "b" ]; args = [] })
+      (Kernel.Txn.Call { handler = "h"; read_set = [ "a"; "b" ]; args = [] })
   in
   Alcotest.(check (list string)) "read set" [ "a"; "b" ]
     (names call.Message.farg.Funct.read_set);
@@ -89,7 +89,7 @@ let test_fspec_of_op_shapes () =
     (names call.Message.farg.Funct.pushed_reads);
   let det =
     Message.fspec_of_op ~key:(ik "k") ~recipients:[]
-      (Txn.Det
+      (Kernel.Txn.Det
          { handler = "h"; read_set = [ "k" ]; args = []; dependents = [ "d" ] })
   in
   Alcotest.(check (list string)) "dependents" [ "d" ]
@@ -121,11 +121,11 @@ let test_functor_of_fspec_final_forms () =
 
 let test_recipients_for () =
   let writes =
-    [ ("a", Txn.Add 1);
+    [ ("a", Kernel.Txn.Add 1);
       ("b",
-       Txn.Call { handler = "h"; read_set = [ "a"; "b" ]; args = [] });
+       Kernel.Txn.Call { handler = "h"; read_set = [ "a"; "b" ]; args = [] });
       ("c",
-       Txn.Call { handler = "h"; read_set = [ "a" ]; args = [] }) ]
+       Kernel.Txn.Call { handler = "h"; read_set = [ "a" ]; args = [] }) ]
   in
   (* Functors for b and c read a, so a's functor should push to them. *)
   Alcotest.(check (list string)) "a's recipients" [ "b"; "c" ]
@@ -137,17 +137,17 @@ let test_recipients_for () =
     (not (List.mem "a" (Txn.recipients_for writes "a")))
 
 let test_write_keys_includes_dependents () =
-  let req =
-    Txn.read_write
+  let d =
+    Kernel.Txn.desc
       [ ("det",
-         Txn.Det
+         Kernel.Txn.Det
            { handler = "h"; read_set = [ "det" ]; args = [];
              dependents = [ "dep1"; "dep2" ] });
-        ("x", Txn.Put Value.unit) ]
+        ("x", Kernel.Txn.Put Value.unit) ]
   in
   Alcotest.(check (list string)) "write keys with dependents"
     [ "dep1"; "dep2"; "det"; "x" ]
-    (List.sort compare (Txn.write_keys req))
+    (Kernel.Txn.write_keys d)
 
 (* ---- Kernel.Apply on a native write list ------------------------------ *)
 

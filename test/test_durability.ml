@@ -99,20 +99,20 @@ let run_mixed_load c sim =
     Sim.Engine.schedule sim ~at:(1_000 + (i * 600)) (fun () ->
         let req =
           if String.equal src dst then
-            Txn.read_write [ (src, Txn.Add 1) ]
+            Txn.read_write [ (src, Kernel.Txn.Add 1) ]
           else if i mod 3 = 0 then
             (* guarded transfer with cross-partition reads *)
             Txn.read_write
               [ (src,
-                 Txn.Call
+                 Kernel.Txn.Call
                    { handler = "xfer_guard"; read_set = [ src ];
                      args = [ Value.str src; Value.int 5; Value.int (-5) ] });
                 (dst,
-                 Txn.Call
+                 Kernel.Txn.Call
                    { handler = "xfer_guard"; read_set = [ src; dst ];
                      args = [ Value.str src; Value.int 5; Value.int 5 ] }) ]
           else
-            Txn.read_write [ (src, Txn.Subtr 2); (dst, Txn.Add 2) ]
+            Txn.read_write [ (src, Kernel.Txn.Subtr 2); (dst, Kernel.Txn.Add 2) ]
         in
         Cluster.submit c ~fe:(i mod 2) req (fun _ -> incr resolved))
   done;

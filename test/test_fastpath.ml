@@ -13,30 +13,30 @@ module ATxn = Alohadb.Txn
 (* ---- classifier ---------------------------------------------------------- *)
 
 let call ?(read_set = []) handler =
-  ATxn.Call { handler; read_set; args = [] }
+  Kernel.Txn.Call { handler; read_set; args = [] }
 
 let test_classifier () =
   let ok writes = ATxn.all_commutative ~writes ~precondition_keys:[] in
   Alcotest.(check bool)
     "all four arithmetic builtins accepted" true
-    (ok [ ("a", ATxn.Add 1); ("b", ATxn.Subtr 2); ("c", ATxn.Max 3);
-          ("d", ATxn.Min 4) ]);
+    (ok [ ("a", Kernel.Txn.Add 1); ("b", Kernel.Txn.Subtr 2); ("c", Kernel.Txn.Max 3);
+          ("d", Kernel.Txn.Min 4) ]);
   Alcotest.(check bool) "empty write set rejected" false (ok []);
   Alcotest.(check bool)
     "non-empty read set rejected" false
     (ATxn.all_commutative
-       ~writes:[ ("a", ATxn.Add 1) ]
+       ~writes:[ ("a", Kernel.Txn.Add 1) ]
        ~precondition_keys:[ "b" ]);
   Alcotest.(check bool)
     "blind put rejected" false
-    (ok [ ("a", ATxn.Put (Value.int 7)) ]);
-  Alcotest.(check bool) "delete rejected" false (ok [ ("a", ATxn.Delete) ]);
+    (ok [ ("a", Kernel.Txn.Put (Value.int 7)) ]);
+  Alcotest.(check bool) "delete rejected" false (ok [ ("a", Kernel.Txn.Delete) ]);
   Alcotest.(check bool)
     "user call rejected" false
     (ok [ ("a", call ~read_set:[ "b" ] "h") ]);
   Alcotest.(check bool)
     "mixed write set rejected" false
-    (ok [ ("a", ATxn.Add 1); ("b", ATxn.Put (Value.int 7)) ]);
+    (ok [ ("a", Kernel.Txn.Add 1); ("b", Kernel.Txn.Put (Value.int 7)) ]);
   (* Ftype-level view agrees with the op-level one. *)
   List.iter
     (fun (ft, want) ->
@@ -59,12 +59,12 @@ let prop_classifier =
       let* d = int_range (-9) 9 in
       return
         (match k with
-        | 0 -> ATxn.Add d
-        | 1 -> ATxn.Subtr d
-        | 2 -> ATxn.Max d
-        | 3 -> ATxn.Min d
-        | 4 -> ATxn.Put (Value.int d)
-        | 5 -> ATxn.Delete
+        | 0 -> Kernel.Txn.Add d
+        | 1 -> Kernel.Txn.Subtr d
+        | 2 -> Kernel.Txn.Max d
+        | 3 -> Kernel.Txn.Min d
+        | 4 -> Kernel.Txn.Put (Value.int d)
+        | 5 -> Kernel.Txn.Delete
         | _ -> call "h"))
   in
   let writes_gen =
@@ -85,7 +85,7 @@ let prop_classifier =
         && List.for_all
              (fun (_, op) ->
                match op with
-               | ATxn.Add _ | ATxn.Subtr _ | ATxn.Max _ | ATxn.Min _ -> true
+               | Kernel.Txn.Add _ | Subtr _ | Max _ | Min _ -> true
                | _ -> false)
              writes
       in

@@ -263,24 +263,57 @@ let test_overhead_neutral () =
       Harness.Setup.ycsb ~engine ~n:2 ~ci:0.01 ~keys_per_partition:1_000
         ?obs ~seed:23 ()
     in
-    Harness.Driver.run built
+    Harness.Setup.run built
       ~arrival:(Kernel.Arrivals.Closed { clients_per_fe = 100 })
       ?obs ~warmup_us:30_000 ~measure_us:40_000 ~seed:23 ()
   in
   let bare = point None in
   let ctl = Obs.Ctl.create ~sample:16 () in
   let traced = point (Some ctl) in
-  Alcotest.(check int) "identical commits" bare.Harness.Driver.committed
-    traced.Harness.Driver.committed;
+  Alcotest.(check int) "identical commits" bare.Kernel.Result.committed
+    traced.Kernel.Result.committed;
   Alcotest.(check (float 1e-9)) "identical tps"
-    bare.Harness.Driver.throughput_tps traced.Harness.Driver.throughput_tps;
+    bare.Kernel.Result.throughput_tps traced.Kernel.Result.throughput_tps;
   Alcotest.(check (float 1e-9)) "identical mean latency"
-    bare.Harness.Driver.lat_mean_us traced.Harness.Driver.lat_mean_us;
+    bare.Kernel.Result.lat_mean_us traced.Kernel.Result.lat_mean_us;
   (* And the traced run actually recorded something. *)
   Alcotest.(check bool) "trace non-empty" true
     (Obs.Trace.total (Obs.Ctl.trace ctl) > 0);
   Alcotest.(check bool) "gauges sampled" true
     (Obs.Gauges.series (Obs.Ctl.gauges ctl) <> [])
+
+(* The lock-based engines publish their gauges through the deployment
+   they share: lock-queue depth and in-flight transactions for Calvin,
+   lock waits and prepared participants for 2PL, network drops for both.
+   Every series must be sampled inside the measured window. *)
+let test_lock_engine_gauges () =
+  let sampled name expected =
+    let engine = List.assoc name Harness.Setup.engines in
+    let ctl = Obs.Ctl.create ~gauge_interval_us:1_000 () in
+    let built =
+      Harness.Setup.ycsb ~engine ~n:2 ~ci:0.01 ~keys_per_partition:1_000
+        ~obs:ctl ~seed:23 ()
+    in
+    ignore
+      (Harness.Setup.run built
+         ~arrival:(Kernel.Arrivals.Closed { clients_per_fe = 20 })
+         ~obs:ctl ~warmup_us:10_000 ~measure_us:30_000 ~seed:23 ()
+        : Kernel.Result.t);
+    let series = Obs.Gauges.series (Obs.Ctl.gauges ctl) in
+    List.iter
+      (fun gauge ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s samples %s" name gauge)
+          true
+          (match List.assoc_opt gauge series with
+          | Some (_ :: _) -> true
+          | Some [] | None -> false))
+      expected
+  in
+  sampled "calvin"
+    [ "gauge.lock_queue_depth"; "gauge.inflight_txns"; "gauge.net_drops" ];
+  sampled "twopl"
+    [ "gauge.lock_waits"; "gauge.prepared_txns"; "gauge.net_drops" ]
 
 let test_telemetry_file () =
   let engine = List.assoc "aloha" Harness.Setup.engines in
@@ -290,7 +323,7 @@ let test_telemetry_file () =
       ~obs:ctl ()
   in
   let result =
-    Harness.Driver.run built
+    Harness.Setup.run built
       ~arrival:(Kernel.Arrivals.Closed { clients_per_fe = 50 })
       ~obs:ctl ~warmup_us:20_000 ~measure_us:20_000 ()
   in
@@ -325,4 +358,5 @@ let suite =
     Alcotest.test_case "epoch rollup" `Quick test_epoch_rollup;
     Alcotest.test_case "tracing is behaviour-neutral" `Quick
       test_overhead_neutral;
+    Alcotest.test_case "lock-engine gauges" `Quick test_lock_engine_gauges;
     Alcotest.test_case "telemetry file" `Quick test_telemetry_file ]

@@ -59,10 +59,10 @@ let request_of_spec = function
            (fun (ki, op) ->
              let key = key_name ki in
              match op with
-             | SPut v -> (key, Txn.Put (Value.int v))
-             | SAdd n -> (key, Txn.Add n)
-             | SSubtr n -> (key, Txn.Subtr n)
-             | SDelete -> (key, Txn.Delete))
+             | SPut v -> (key, Kernel.Txn.Put (Value.int v))
+             | SAdd n -> (key, Kernel.Txn.Add n)
+             | SSubtr n -> (key, Kernel.Txn.Subtr n)
+             | SDelete -> (key, Kernel.Txn.Delete))
            ops)
   | Transfer { src; dst; amount } ->
       let src_key = key_name src and dst_key = key_name dst in
@@ -71,11 +71,11 @@ let request_of_spec = function
       in
       Txn.read_write
         [ (src_key,
-           Txn.Call
+           Kernel.Txn.Call
              { handler = "guarded_xfer"; read_set = [ src_key ];
                args = args (-amount) });
           (dst_key,
-           Txn.Call
+           Kernel.Txn.Call
              { handler = "guarded_xfer"; read_set = [ src_key; dst_key ];
                args = args amount }) ]
 
